@@ -6,15 +6,10 @@
 //! batching with parked-KV reuse, and the incremental stage fast path
 //! on every replica.
 //!
-//! Every (fleet, router) pair runs twice: once on the serial oracle
-//! (one replica window at a time, in index order) and once on the
-//! parallel clock-merge path (replica windows stepped concurrently on
-//! the vendored rayon pool; pin the worker count with
-//! `DUPLEX_THREADS`). The two reports are asserted byte-identical —
-//! the clock-merge invariant — so the runs differ only in wall clock,
-//! reported as `serial_wall_s` / `wall_s` and the harness-throughput
-//! pair `serial_fleet_stages_per_s` / `fleet_stages_per_s` (simulated
-//! fleet stages per second of wall clock).
+//! Every (fleet, router) pair runs once, timed as `wall_s` and the
+//! harness throughput `fleet_stages_per_s` (simulated fleet stages per
+//! second of wall clock). Pairs run one after another, never
+//! concurrently, so each pair's wall clock is its own.
 //!
 //! Also exercises pause/resume: the Grok fleet is paused mid-run, the
 //! snapshot is written to `BENCH_cluster_snapshot.json` (the CI
@@ -55,8 +50,8 @@
 
 use std::time::Instant;
 
-use duplex::experiments::{build_cluster, run_cluster_with, ClusterRow, ClusterSpec};
-use duplex::sched::{ClusterConfig, ClusterSnapshot, RouterKind};
+use duplex::experiments::{build_cluster, run_cluster, ClusterRow, ClusterSpec};
+use duplex::sched::{ClusterSnapshot, RouterKind};
 use duplex_bench::print_table;
 
 /// Pause the fleet at 40% of its simulated span, push the snapshot
@@ -86,7 +81,7 @@ fn snapshot_roundtrip(spec: &ClusterSpec, full_time_s: f64) -> (String, f64) {
             &mut fresh_executors,
         )
         .unwrap_or_else(|e| panic!("{}: snapshot rejected at resume: {e}", spec.name));
-    let full = run_cluster_with(spec, kind.build().as_mut(), ClusterConfig::default());
+    let full = run_cluster(spec, kind.build().as_mut());
     assert_eq!(
         resumed, full,
         "{}: resumed report must equal the uninterrupted run",
@@ -98,7 +93,6 @@ fn snapshot_roundtrip(spec: &ClusterSpec, full_time_s: f64) -> (String, f64) {
 fn main() {
     let scale = duplex_bench::scale_from_args();
     let quick = scale == duplex::experiments::Scale::quick();
-    let threads = ClusterConfig::default().effective_threads();
 
     let mut rows = Vec::new();
     let mut json_entries = Vec::new();
@@ -124,156 +118,131 @@ fn main() {
         points.push((spec, RouterKind::LeastOutstandingWork, true));
     }
     for (spec, kind, fleet_ctx) in points {
-        {
-            // Fleet construction (executor builds, capacity probes)
-            // stays outside the timed region: the metric is stepping
-            // throughput, not setup cost.
-            let build_router = || {
-                if fleet_ctx {
-                    kind.build_with(&spec.router_context())
-                } else {
-                    kind.build()
-                }
-            };
-            let (sim, mut policies, mut executors) = build_cluster(spec);
-            let sim = sim.with_config(ClusterConfig::serial());
-            let mut router = build_router();
-            let start = Instant::now();
-            let serial = sim.run(router.as_mut(), &mut policies, &mut executors);
-            let serial_wall_s = start.elapsed().as_secs_f64();
-
-            let (sim, mut policies, mut executors) = build_cluster(spec);
-            let sim = sim.with_config(ClusterConfig::default());
-            let mut router = build_router();
-            let start = Instant::now();
-            let report = sim.run(router.as_mut(), &mut policies, &mut executors);
-            let wall_s = start.elapsed().as_secs_f64();
-            assert_eq!(
-                serial,
-                report,
-                "clock-merge invariant: parallel != serial for {} under {}",
-                spec.name,
-                kind.name()
-            );
-            if spec.name == "grok_chat_tiered" {
-                grok_time_s = Some(report.total_time_s);
+        // Fleet construction (executor builds, capacity probes)
+        // stays outside the timed region: the metric is stepping
+        // throughput, not setup cost.
+        let build_router = || {
+            if fleet_ctx {
+                kind.build_with(&spec.router_context())
+            } else {
+                kind.build()
             }
-
-            let row = ClusterRow::of(spec, kind.name(), &report);
-            let fleet_stages_per_s = row.stages as f64 / wall_s;
-            let serial_fleet_stages_per_s = row.stages as f64 / serial_wall_s;
-            let tbt_p99_ms = row.tbt_p99 * 1e3;
-            rows.push(vec![
-                row.cluster.clone(),
-                row.router.clone(),
-                row.replicas.to_string(),
-                row.completed.to_string(),
-                row.stages.to_string(),
-                format!("{serial_wall_s:.3}"),
-                format!("{wall_s:.3}"),
-                format!("{fleet_stages_per_s:.0}"),
-                format!("{:.0}", row.throughput),
-                format!("{tbt_p99_ms:.2}"),
-                if row.tiered {
-                    format!("{:.3}", row.interactive_attainment)
-                } else {
-                    "-".into()
-                },
-                format!("{:.3}", row.kv_reuse_fraction),
-                format!("{:.2}", row.load_imbalance),
-                format!("{:.2}", row.replica_seconds),
-                if spec.autoscale.is_some() {
-                    format!("{}^{}v", row.scale_ups, row.scale_downs)
-                } else {
-                    "-".into()
-                },
-                if spec.disagg.is_some() {
-                    report.disagg.handoffs.to_string()
-                } else {
-                    "-".into()
-                },
-            ]);
-            let tiered_metrics = if row.tiered {
-                format!(
-                    "\"slo_attainment\": {:.4}, \"interactive_attainment\": {:.4}, \"goodput_tokens_per_s\": {:.1}, ",
-                    row.attainment, row.interactive_attainment, row.goodput
-                )
-            } else {
-                String::new()
-            };
-            let fault_metrics = if spec.faults.is_some() {
-                format!(
-                    "\"recovery_time_s\": {:.6}, \"fault_interactive_attainment\": {:.4}, \"requests_lost\": {}, \"retries_issued\": {}, \"kv_bytes_migrated\": {}, ",
-                    row.recovery_time_s,
-                    row.fault_attainment,
-                    row.requests_lost,
-                    row.retries_issued,
-                    row.kv_bytes_migrated
-                )
-            } else {
-                String::new()
-            };
-            let scaling_metrics = if spec.autoscale.is_some() {
-                format!(
-                    "\"scale_ups\": {}, \"scale_downs\": {}, \"scale_up_lag_s\": {:.6}, ",
-                    row.scale_ups, row.scale_downs, row.scale_up_lag_s
-                )
-            } else {
-                String::new()
-            };
-            let disagg_metrics = if fleet_ctx {
-                let mut m = format!("\"t2ft_p50_ms\": {:.4}, ", report.t2ft().p50 * 1e3);
-                if spec.disagg.is_some() {
-                    m.push_str(&format!(
-                        "\"handoffs\": {}, \"kv_bytes_shipped\": {}, \"reprefills\": {}, ",
-                        report.disagg.handoffs,
-                        report.disagg.kv_bytes_shipped,
-                        report.disagg.reprefills
-                    ));
-                }
-                m
-            } else {
-                String::new()
-            };
-            json_entries.push(format!(
-                "    \"{}_{}\": {{\"fleet_stages_per_s\": {:.1}, \"wall_s\": {:.4}, \"serial_fleet_stages_per_s\": {:.1}, \"serial_wall_s\": {:.4}, \"threads\": {}, \"stages\": {}, \"completed\": {}, \"replicas\": {}, \"replica_seconds\": {:.4}, \"sim_tokens_per_sec\": {:.1}, \"tbt_p99_ms\": {:.4}, {}{}{}{}\"kv_reuse_fraction\": {:.4}, \"load_imbalance\": {:.4}, \"policy\": \"{}\", \"model\": \"{}\", \"batch\": {}}}",
-                row.cluster,
-                kind.name().replace('-', "_"),
-                fleet_stages_per_s,
-                wall_s,
-                serial_fleet_stages_per_s,
-                serial_wall_s,
-                threads,
-                row.stages,
-                row.completed,
-                row.replicas,
-                row.replica_seconds,
-                row.throughput,
-                tbt_p99_ms,
-                tiered_metrics,
-                fault_metrics,
-                scaling_metrics,
-                disagg_metrics,
-                row.kv_reuse_fraction,
-                row.load_imbalance,
-                spec.policy.name(),
-                spec.model.name,
-                spec.batch
-            ));
+        };
+        let (sim, mut policies, mut executors) = build_cluster(spec);
+        let mut router = build_router();
+        let start = Instant::now();
+        let report = sim.run(router.as_mut(), &mut policies, &mut executors);
+        let wall_s = start.elapsed().as_secs_f64();
+        if spec.name == "grok_chat_tiered" {
+            grok_time_s = Some(report.total_time_s);
         }
+
+        let row = ClusterRow::of(spec, kind.name(), &report);
+        let fleet_stages_per_s = row.stages as f64 / wall_s;
+        let tbt_p99_ms = row.tbt_p99 * 1e3;
+        rows.push(vec![
+            row.cluster.clone(),
+            row.router.clone(),
+            row.replicas.to_string(),
+            row.completed.to_string(),
+            row.stages.to_string(),
+            format!("{wall_s:.3}"),
+            format!("{fleet_stages_per_s:.0}"),
+            format!("{:.0}", row.throughput),
+            format!("{tbt_p99_ms:.2}"),
+            if row.tiered {
+                format!("{:.3}", row.interactive_attainment)
+            } else {
+                "-".into()
+            },
+            format!("{:.3}", row.kv_reuse_fraction),
+            format!("{:.2}", row.load_imbalance),
+            format!("{:.2}", row.replica_seconds),
+            if spec.autoscale.is_some() {
+                format!("{}^{}v", row.scale_ups, row.scale_downs)
+            } else {
+                "-".into()
+            },
+            if spec.disagg.is_some() {
+                report.disagg.handoffs.to_string()
+            } else {
+                "-".into()
+            },
+        ]);
+        let tiered_metrics = if row.tiered {
+            format!(
+                "\"slo_attainment\": {:.4}, \"interactive_attainment\": {:.4}, \"goodput_tokens_per_s\": {:.1}, ",
+                row.attainment, row.interactive_attainment, row.goodput
+            )
+        } else {
+            String::new()
+        };
+        let fault_metrics = if spec.faults.is_some() {
+            format!(
+                "\"recovery_time_s\": {:.6}, \"fault_interactive_attainment\": {:.4}, \"requests_lost\": {}, \"retries_issued\": {}, \"kv_bytes_migrated\": {}, ",
+                row.recovery_time_s,
+                row.fault_attainment,
+                row.requests_lost,
+                row.retries_issued,
+                row.kv_bytes_migrated
+            )
+        } else {
+            String::new()
+        };
+        let scaling_metrics = if spec.autoscale.is_some() {
+            format!(
+                "\"scale_ups\": {}, \"scale_downs\": {}, \"scale_up_lag_s\": {:.6}, ",
+                row.scale_ups, row.scale_downs, row.scale_up_lag_s
+            )
+        } else {
+            String::new()
+        };
+        let disagg_metrics = if fleet_ctx {
+            let mut m = format!("\"t2ft_p50_ms\": {:.4}, ", report.t2ft().p50 * 1e3);
+            if spec.disagg.is_some() {
+                m.push_str(&format!(
+                    "\"handoffs\": {}, \"kv_bytes_shipped\": {}, \"reprefills\": {}, ",
+                    report.disagg.handoffs,
+                    report.disagg.kv_bytes_shipped,
+                    report.disagg.reprefills
+                ));
+            }
+            m
+        } else {
+            String::new()
+        };
+        json_entries.push(format!(
+            "    \"{}_{}\": {{\"fleet_stages_per_s\": {:.1}, \"wall_s\": {:.4}, \"stages\": {}, \"completed\": {}, \"replicas\": {}, \"replica_seconds\": {:.4}, \"sim_tokens_per_sec\": {:.1}, \"tbt_p99_ms\": {:.4}, {}{}{}{}\"kv_reuse_fraction\": {:.4}, \"load_imbalance\": {:.4}, \"policy\": \"{}\", \"model\": \"{}\", \"batch\": {}}}",
+            row.cluster,
+            kind.name().replace('-', "_"),
+            fleet_stages_per_s,
+            wall_s,
+            row.stages,
+            row.completed,
+            row.replicas,
+            row.replica_seconds,
+            row.throughput,
+            tbt_p99_ms,
+            tiered_metrics,
+            fault_metrics,
+            scaling_metrics,
+            disagg_metrics,
+            row.kv_reuse_fraction,
+            row.load_imbalance,
+            spec.policy.name(),
+            spec.model.name,
+            spec.batch
+        ));
     }
     print_table(
-        &format!(
-            "Cluster suite (router x fleet; serial oracle vs parallel windows, {threads} threads)"
-        ),
+        "Cluster suite (router x fleet)",
         &[
             "Cluster",
             "Router",
             "Repl",
             "Done",
             "Stages",
-            "Serial s",
-            "Par s",
+            "Wall s",
             "fleet st/s",
             "sim tok/s",
             "TBT p99 ms",
@@ -304,9 +273,8 @@ fn main() {
     );
 
     let json = format!(
-        "{{\n  \"schema\": \"duplex-bench/cluster/v1\",\n  \"mode\": \"{}\",\n  \"threads\": {},\n  \"snapshot_roundtrip\": {{\"cluster\": \"grok_chat_tiered\", \"taken_at_s\": {:.6}, \"bytes\": {}, \"resumed_bit_identical\": true}},\n  \"scenarios\": {{\n{}\n  }}\n}}\n",
+        "{{\n  \"schema\": \"duplex-bench/cluster/v1\",\n  \"mode\": \"{}\",\n  \"snapshot_roundtrip\": {{\"cluster\": \"grok_chat_tiered\", \"taken_at_s\": {:.6}, \"bytes\": {}, \"resumed_bit_identical\": true}},\n  \"scenarios\": {{\n{}\n  }}\n}}\n",
         if quick { "quick" } else { "paper" },
-        threads,
         taken_at_s,
         snapshot_json.len(),
         json_entries.join(",\n")

@@ -11,8 +11,9 @@
 //! Without `--report` flags it gates the default reports
 //! (`BENCH_stage_cost.json`, `BENCH_sim.json`, `BENCH_scenarios.json`,
 //! `BENCH_cluster.json`)
-//! from the working directory; reports whose file is absent or that
-//! have no baseline section are skipped. Exits 1 when any baselined
+//! from the working directory. The gate fails closed: a requested
+//! report whose file is absent exits 1, and so does a run in which no
+//! report has a baseline section to gate. Exits 1 when any baselined
 //! metric drifts more than the threshold past its baseline —
 //! throughput metrics by dropping, latency metrics (TBT/T2FT tails)
 //! and cost metrics (`replica_seconds`, `scale_up_lag_s`) by rising —
@@ -35,7 +36,7 @@
 //! deterministic simulated-time metrics recorded exactly.
 
 use duplex_bench::regression::{
-    gate_reports, render_gate, run_self_test, write_baseline, DEFAULT_THRESHOLD,
+    gate_reports, read_reports, render_gate, run_self_test, write_baseline, DEFAULT_THRESHOLD,
 };
 
 fn usage(bin: &str) -> ! {
@@ -100,21 +101,12 @@ fn main() {
         .collect();
     }
 
-    let mut reports: Vec<(&str, String)> = Vec::new();
-    for (name, path) in &report_specs {
-        match std::fs::read_to_string(path) {
-            Ok(text) => reports.push((name.as_str(), text)),
-            Err(e) => println!("skipping {name}: {path}: {e}"),
-        }
-    }
+    let reports = read_reports(&report_specs).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(1);
+    });
 
     if write_mode {
-        // The baseline must cover every report it is regenerated from:
-        // a silently absent report file would drop its whole section.
-        if reports.len() != report_specs.len() {
-            eprintln!("error: --write-baseline needs every report file present");
-            std::process::exit(2);
-        }
         let text = write_baseline(&reports).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
@@ -162,16 +154,13 @@ fn main() {
     }
 
     match gate_reports(&baseline, &reports) {
-        Ok(comparisons) if comparisons.is_empty() => {
-            println!("no baselined metrics found; nothing to gate");
-        }
         Ok(comparisons) => {
             let (table, failed) = render_gate(&comparisons, threshold);
             print!("{table}");
             if failed {
                 eprintln!(
-                    "benchmark regression: a metric drifted more than {:.0}% past its \
-                     baseline (throughput below, latency above)",
+                    "benchmark gate failed: no metric was gated, or one drifted more than \
+                     {:.0}% past its baseline (throughput below, latency above)",
                     threshold * 100.0
                 );
                 std::process::exit(1);

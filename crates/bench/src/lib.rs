@@ -7,6 +7,8 @@
 //! anything else is rejected with a usage message. Run every figure
 //! with `cargo run --release -p duplex-bench --bin run_all`.
 
+#![forbid(unsafe_code)]
+
 use duplex::experiments::Scale;
 
 pub mod regression;

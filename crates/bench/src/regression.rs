@@ -366,11 +366,31 @@ pub fn write_baseline(reports: &[(&str, String)]) -> Result<String, String> {
     Ok(out)
 }
 
-/// Render the one-line-per-metric gate table and return whether any
-/// metric regressed beyond `threshold`.
+/// Read every requested `(report name, path)` pair.
+///
+/// # Errors
+///
+/// Fails closed: a missing or unreadable report file is an error naming
+/// it, never a skipped report, so a bench that stopped writing its
+/// output fails the gate instead of dropping out of it.
+pub fn read_reports(specs: &[(String, String)]) -> Result<Vec<(&str, String)>, String> {
+    specs
+        .iter()
+        .map(|(name, path)| {
+            std::fs::read_to_string(path)
+                .map(|text| (name.as_str(), text))
+                .map_err(|e| format!("report {name}: {path}: {e}"))
+        })
+        .collect()
+}
+
+/// Render the one-line-per-metric gate table and return whether the
+/// gate failed: some metric regressed beyond `threshold`, or nothing
+/// was gated at all (a gate that compared no metric proves nothing, so
+/// it fails closed).
 pub fn render_gate(comparisons: &[Comparison], threshold: f64) -> (String, bool) {
     let mut out = String::new();
-    let mut failed = false;
+    let mut failed = comparisons.is_empty();
     let width = comparisons
         .iter()
         .map(|c| c.key.len())
@@ -393,6 +413,9 @@ pub fn render_gate(comparisons: &[Comparison], threshold: f64) -> (String, bool)
             if c.lower_is_better { "min" } else { "max" },
             if regressed { "REGRESSED" } else { "ok" }
         ));
+    }
+    if comparisons.is_empty() {
+        out.push_str("no baselined metrics found; nothing was gated\n");
     }
     (out, failed)
 }
@@ -540,6 +563,24 @@ mod tests {
         let reports = vec![("BENCH_scenarios", r#"{"scenarios": {}}"#.into())];
         let cmp = gate_reports(BASELINE, &reports).expect("valid");
         assert!(cmp.is_empty());
+    }
+
+    #[test]
+    fn a_gate_that_compares_nothing_fails() {
+        let (table, failed) = render_gate(&[], DEFAULT_THRESHOLD);
+        assert!(failed, "{table}");
+        assert!(table.contains("nothing was gated"), "{table}");
+    }
+
+    #[test]
+    fn a_missing_report_file_is_an_error() {
+        let missing = std::env::temp_dir().join("duplex-bench-no-such-report.json");
+        let specs = vec![(
+            "BENCH_cluster".to_string(),
+            missing.to_string_lossy().into_owned(),
+        )];
+        let err = read_reports(&specs).expect_err("a missing report fails closed");
+        assert!(err.contains("BENCH_cluster"), "{err}");
     }
 
     const FIXTURE: &str = r#"{

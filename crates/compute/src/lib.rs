@@ -41,6 +41,8 @@
 //! assert!(on_pim.seconds < on_xpu.seconds);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod area;
 pub mod energy;
 pub mod engine;

@@ -22,10 +22,10 @@ use duplex_compute::{AreaModel, Edap, Engine};
 use duplex_model::ops::StageShape;
 use duplex_model::ModelConfig;
 use duplex_sched::{
-    Arrivals, AutoscalePolicy, ClusterConfig, ClusterContext, ClusterReport, ClusterSimulation,
-    ConversationSpec, DisaggPlan, FaultEvent, FaultKind, FaultPlan, KvLinkSpec, PolicyKind,
-    ReplicaConfig, RequestSource, Router, RouterKind, Scenario, ScenarioSimulation,
-    SchedulingPolicy, SimReport, SimulationConfig, TraceRequest, Workload,
+    Arrivals, AutoscalePolicy, ClusterContext, ClusterReport, ClusterSimulation, ConversationSpec,
+    DisaggPlan, FaultEvent, FaultKind, FaultPlan, KvLinkSpec, PolicyKind, ReplicaConfig,
+    RequestSource, Router, RouterKind, Scenario, ScenarioSimulation, SchedulingPolicy, SimReport,
+    SimulationConfig, TraceRequest, Workload,
 };
 use duplex_system::{CommModel, SplitSimulation, SystemConfig, SystemExecutor};
 
@@ -1696,22 +1696,10 @@ pub fn build_cluster(
 }
 
 /// Run one fleet under one router, everything on the PR 2 delta fast
-/// path (default execution knobs: parallel windows, auto threads).
+/// path.
 pub fn run_cluster(spec: &ClusterSpec, router: &mut dyn Router) -> ClusterReport {
-    run_cluster_with(spec, router, ClusterConfig::default())
-}
-
-/// [`run_cluster`] with explicit execution knobs — the serial oracle
-/// vs parallel windows, pinned thread counts. Results never depend on
-/// `cluster` (the clock-merge invariant); only wall-clock time does.
-pub fn run_cluster_with(
-    spec: &ClusterSpec,
-    router: &mut dyn Router,
-    cluster: ClusterConfig,
-) -> ClusterReport {
     let (sim, mut policies, mut executors) = build_cluster(spec);
-    sim.with_config(cluster)
-        .run(router, &mut policies, &mut executors)
+    sim.run(router, &mut policies, &mut executors)
 }
 
 /// The cluster sweep: every suite fleet under every shipped router.

@@ -53,6 +53,8 @@
 //! assert!(duplex.energy_per_token_j < gpu.energy_per_token_j);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 
 /// Re-export of the HBM memory model.

@@ -43,6 +43,8 @@
 //! assert!(pim > 2.9 * xpu, "Logic-PIM should deliver ~4x the xPU path");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod alloc;
 pub mod energy;
 pub mod geometry;

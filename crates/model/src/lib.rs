@@ -36,6 +36,8 @@
 //! assert_eq!(work.moe.len(), mixtral.moe_block_count() as usize);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod kv_cache;
 pub mod ops;

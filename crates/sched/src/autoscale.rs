@@ -38,8 +38,8 @@
 //!
 //! Every decision is a pure function of replica state at a merge
 //! point, so autoscaled runs keep the cluster's determinism bar:
-//! serial == parallel byte-identical, snapshots taken mid-scale-event
-//! resume bit-for-bit, and reports are seed-deterministic.
+//! snapshots taken mid-scale-event resume bit-for-bit, and reports are
+//! seed-deterministic.
 //!
 //! # Example
 //!

@@ -93,6 +93,8 @@
 //! downstream construction sites — every pre-9 PR listed "struct
 //! literals" as a breaking change; the builders end that.
 
+#![forbid(unsafe_code)]
+
 pub mod autoscale;
 pub mod cluster;
 pub mod delta;
@@ -111,8 +113,7 @@ pub mod workload;
 
 pub use autoscale::{AutoscalePolicy, ScaleStats};
 pub use cluster::{
-    ClusterConfig, ClusterReport, ClusterRun, ClusterSimulation, DisaggPlan, DisaggStats,
-    ReplicaConfig,
+    ClusterReport, ClusterRun, ClusterSimulation, DisaggPlan, DisaggStats, ReplicaConfig,
 };
 pub use delta::StageDelta;
 pub use fault::{

@@ -1549,8 +1549,9 @@ impl ReplicaSim {
     /// [`ReplicaSim::drain_retire_events`]. Draining immediately after
     /// each step reproduces the historical inline behavior exactly
     /// (same RNG sequence, same parked-KV operation order); the
-    /// cluster drains at its merge points instead, which is what lets
-    /// replicas step concurrently between router events.
+    /// cluster drains at its merge points instead, in replica-index
+    /// order, so the shared stream sees one order fixed by the replica
+    /// index.
     pub(crate) fn step<E: StageExecutor + ?Sized>(
         &mut self,
         policy: &mut dyn SchedulingPolicy,

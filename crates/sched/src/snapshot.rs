@@ -274,9 +274,7 @@ pub(crate) struct DisaggState {
 /// flight. At that boundary the entire run state is exactly the
 /// fields captured here, so `run_until` + `resume` replays the same
 /// event sequence, RNG draws, and floating-point accumulations as an
-/// uninterrupted `run`, and the final report is byte-identical. The
-/// same invariant is what makes parallel replica stepping equal to
-/// serial stepping: windows between merge points are side-effect-free.
+/// uninterrupted `run`, and the final report is byte-identical.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSnapshot {
     /// The virtual time the run paused at (the requested `stop_s`

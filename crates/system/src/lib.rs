@@ -49,6 +49,8 @@
 //! );
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod comm;
 pub mod coproc;
 pub mod exec;

@@ -16,14 +16,13 @@
 //! them.
 
 use duplex::experiments::{
-    autoscale_drill, build_cluster, cluster_suite, grok_disagg, run_cluster, run_cluster_with,
-    ClusterRow, ClusterSpec, Scale,
+    autoscale_drill, build_cluster, cluster_suite, grok_disagg, run_cluster, ClusterRow,
+    ClusterSpec, Scale,
 };
 use duplex::model::ModelConfig;
 use duplex::sched::{
-    Arrivals, ClusterConfig, ClusterSimulation, ClusterSnapshot, ConversationSpec, PolicyKind,
-    ReplicaConfig, RouterKind, Scenario, ScenarioSimulation, SchedulingPolicy, SimulationConfig,
-    Workload,
+    Arrivals, ClusterSimulation, ClusterSnapshot, ConversationSpec, PolicyKind, ReplicaConfig,
+    RouterKind, Scenario, ScenarioSimulation, SchedulingPolicy, SimulationConfig, Workload,
 };
 use duplex::system::{SystemConfig, SystemExecutor};
 
@@ -152,35 +151,6 @@ fn bench_rows_are_reproducible() {
     let a = grok_rows();
     let b = grok_rows();
     assert_eq!(a, b);
-}
-
-#[test]
-fn parallel_windows_are_byte_identical_to_serial() {
-    // The clock-merge invariant, end to end on real SystemExecutors:
-    // for every suite fleet under every router, stepping replica
-    // windows concurrently must reproduce the serial oracle's report
-    // to the bit — same stages, same clocks, same digests.
-    for spec in &cluster_suite(&Scale::quick()) {
-        for kind in RouterKind::ALL {
-            let serial = run_cluster_with(spec, kind.build().as_mut(), ClusterConfig::serial());
-            let parallel = run_cluster_with(
-                spec,
-                kind.build().as_mut(),
-                ClusterConfig {
-                    parallel: true,
-                    threads: 4,
-                },
-            );
-            assert_eq!(
-                serial.total_time_s.to_bits(),
-                parallel.total_time_s.to_bits(),
-                "{} under {}",
-                spec.name,
-                kind.name()
-            );
-            assert_eq!(serial, parallel, "{} under {}", spec.name, kind.name());
-        }
-    }
 }
 
 #[test]
@@ -455,32 +425,6 @@ fn the_autoscaler_matches_peak_slo_at_a_fraction_of_the_bill() {
 }
 
 #[test]
-fn the_autoscaled_drill_is_byte_identical_serial_and_parallel() {
-    // The clock-merge invariant survives elastic scaling on real
-    // SystemExecutors: scale decisions happen at merge points, so the
-    // parallel path must reproduce the serial oracle to the bit.
-    let drill = autoscale_drill(&Scale::quick());
-    let spec = &drill[0];
-    let serial = run_cluster_with(spec, RouterKind::LeastOutstandingWork.build().as_mut(), {
-        ClusterConfig::serial()
-    });
-    let parallel = run_cluster_with(
-        spec,
-        RouterKind::LeastOutstandingWork.build().as_mut(),
-        ClusterConfig {
-            parallel: true,
-            threads: 4,
-        },
-    );
-    assert!(serial.scaling.scale_ups > 0, "the drill actually scales");
-    assert_eq!(
-        serial.total_time_s.to_bits(),
-        parallel.total_time_s.to_bits()
-    );
-    assert_eq!(serial, parallel);
-}
-
-#[test]
 fn a_mid_scale_snapshot_of_the_drill_resumes_bit_for_bit() {
     // Pause the elastic drill mid-run — pool membership, hysteresis
     // streaks and any in-flight scale events all live state — push the
@@ -589,36 +533,6 @@ fn disagg_beats_chunked_colocation_on_tail_latency() {
     assert!(d.transfer_seconds > 0.0);
     assert_eq!(stats[0], duplex::sched::DisaggStats::default());
     assert_eq!(stats[1], duplex::sched::DisaggStats::default());
-}
-
-#[test]
-fn the_disagg_drill_is_byte_identical_serial_and_parallel() {
-    // The clock-merge invariant survives pool-split serving on real
-    // SystemExecutors: handoffs buffer inside windows and deliver at
-    // merge points, so the parallel path must reproduce the serial
-    // oracle to the bit.
-    let drill = grok_disagg(&Scale::quick());
-    let spec = &drill[2];
-    let ctx = spec.router_context();
-    let serial = run_cluster_with(
-        spec,
-        RouterKind::LeastOutstandingWork.build_with(&ctx).as_mut(),
-        ClusterConfig::serial(),
-    );
-    let parallel = run_cluster_with(
-        spec,
-        RouterKind::LeastOutstandingWork.build_with(&ctx).as_mut(),
-        ClusterConfig {
-            parallel: true,
-            threads: 4,
-        },
-    );
-    assert!(serial.disagg.handoffs > 0, "the drill actually hands off");
-    assert_eq!(
-        serial.total_time_s.to_bits(),
-        parallel.total_time_s.to_bits()
-    );
-    assert_eq!(serial, parallel);
 }
 
 #[test]
