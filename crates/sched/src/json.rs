@@ -169,13 +169,19 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences pass
-                // through untouched).
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| format!("invalid UTF-8 at byte {pos}"))?;
-                let ch = rest.chars().next().expect("non-empty checked above");
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Copy the whole run up to the next quote or backslash
+                // in one slice. Both delimiters are ASCII, so the run
+                // ends on a character boundary of the (valid UTF-8)
+                // input and only the run itself is validated.
+                let start = *pos;
+                let run = bytes[start..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| start + n);
+                let text = std::str::from_utf8(&bytes[start..run])
+                    .map_err(|_| format!("invalid UTF-8 at byte {start}"))?;
+                out.push_str(text);
+                *pos = run;
             }
         }
     }
@@ -277,6 +283,40 @@ mod tests {
         assert_eq!(parse("{}").expect("obj"), JsonValue::Obj(vec![]));
         assert_eq!(parse("[]").expect("arr"), JsonValue::Arr(vec![]));
         assert_eq!(parse(" 4 ").expect("num").as_u64(), Some(4));
+    }
+
+    /// Min-of-5 wall time of parsing `text`, in nanoseconds.
+    fn parse_ns(text: &str) -> u128 {
+        (0..5)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                parse(text).expect("valid");
+                start.elapsed().as_nanos()
+            })
+            .min()
+            .expect("five samples")
+    }
+
+    #[test]
+    fn parse_time_scales_linearly_in_string_bytes() {
+        // An array of strings mixing ASCII, escapes and multi-byte
+        // UTF-8, sized to about `bytes`.
+        let doc = |bytes: usize| {
+            let item = r#""grüße \"τ\" \\ tab\t end","#;
+            let mut text = String::from("[");
+            while text.len() + item.len() < bytes {
+                text.push_str(item);
+            }
+            text.push_str("\"\"]");
+            text
+        };
+        let small = doc(100_000);
+        let large = doc(1_000_000);
+        let (t_small, t_large) = (parse_ns(&small), parse_ns(&large));
+        assert!(
+            t_large <= 15 * t_small.max(1),
+            "1 MB took {t_large} ns, 100 kB took {t_small} ns: more than 15x"
+        );
     }
 
     #[test]
