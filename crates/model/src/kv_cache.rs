@@ -89,9 +89,7 @@ struct Entry {
     resident: bool,
 }
 
-/// One cache entry as exported by [`PagedKvCache::export_entries`]:
-/// everything needed to rebuild the entry (and the cache's LRU order)
-/// exactly in [`PagedKvCache::import_entries`].
+/// One cache entry as exported by [`PagedKvCache::export_entries`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KvEntrySnapshot {
     /// The request (or conversation) owning the entry.
@@ -344,11 +342,11 @@ impl PagedKvCache {
             .map(|e| e.tokens)
     }
 
-    /// Export the cache's dynamic state (LRU clock + entry table) for
-    /// snapshotting. Entries are sorted by request id so the export is
+    /// Export the cache's dynamic state: the LRU clock and the entry
+    /// table. Entries are sorted by request id so the export is
     /// deterministic regardless of hash-map iteration order; each
     /// entry's `last_touch` stamp is unique (the clock is strictly
-    /// increasing), so importing the list rebuilds the exact LRU order.
+    /// increasing), so the stamps give the exact LRU order.
     pub fn export_entries(&self) -> (u64, Vec<KvEntrySnapshot>) {
         let mut entries: Vec<KvEntrySnapshot> = self
             .entries
@@ -363,29 +361,6 @@ impl PagedKvCache {
             .collect();
         entries.sort_unstable_by_key(|e| e.request);
         (self.clock, entries)
-    }
-
-    /// Replace the cache's dynamic state with a previously exported
-    /// one. Capacity, page size, and eviction policy are configuration
-    /// and stay as constructed.
-    pub fn import_entries(&mut self, clock: u64, entries: &[KvEntrySnapshot]) {
-        self.clock = clock;
-        self.entries.clear();
-        self.resident_pages = 0;
-        for s in entries {
-            if s.resident {
-                self.resident_pages += s.pages;
-            }
-            self.entries.insert(
-                s.request,
-                Entry {
-                    pages: s.pages,
-                    tokens: s.tokens,
-                    last_touch: s.last_touch,
-                    resident: s.resident,
-                },
-            );
-        }
     }
 }
 
@@ -538,28 +513,6 @@ mod tests {
         );
         assert_eq!(c.evict_one(), None);
         assert_eq!(c.resident_bytes(), 0);
-    }
-
-    #[test]
-    fn export_import_round_trips_lru_order() {
-        let mut c = cache(3 * 16, EvictionPolicy::Migrate);
-        c.admit(1, 16).expect("fits");
-        c.admit(2, 16).expect("fits");
-        c.admit(3, 16).expect("fits");
-        c.append(1, 0).expect("touch 1 so 2 is LRU");
-        let (clock, entries) = c.export_entries();
-        let mut restored = cache(3 * 16, EvictionPolicy::Migrate);
-        restored.import_entries(clock, &entries);
-        assert_eq!(restored.resident_bytes(), c.resident_bytes());
-        // Same LRU victim as the original would pick.
-        assert_eq!(
-            restored.evict_one(),
-            Some(KvEvent::MigratedOut {
-                request: 2,
-                bytes: 16
-            })
-        );
-        assert_eq!(restored.export_entries().0, clock, "evict keeps clock");
     }
 
     #[test]

@@ -114,7 +114,7 @@ use crate::policy::SchedulingPolicy;
 use crate::router::{PoolRole, ReplicaSnapshot, Router};
 use crate::scenario::{ReplicaSim, Scenario, ScenarioStream, SloTier};
 use crate::scheduler::{SimulationConfig, StageExecutor};
-use crate::snapshot::{AutoscaleState, ClusterSnapshot, DisaggState, FaultState};
+use crate::snapshot::{fleet_digest, ClusterSnapshot};
 
 /// One replica's scheduler limits plus its relative serving capacity.
 ///
@@ -250,36 +250,6 @@ impl<'p> DisaggRuntime<'p> {
             .iter()
             .filter(|&&(_, d, _)| d == i)
             .fold((0, 0), |(n, b), &(_, _, bytes)| (n + 1, b + bytes))
-    }
-
-    fn export_state(&self) -> DisaggState {
-        DisaggState {
-            assignments: self
-                .assignments
-                .iter()
-                .map(|&(id, d, b)| (id, d as u64, b))
-                .collect(),
-            handoffs: self.stats.handoffs,
-            kv_bytes_shipped: self.stats.kv_bytes_shipped,
-            transfer_seconds: self.stats.transfer_seconds,
-            reprefills: self.stats.reprefills,
-        }
-    }
-
-    /// Restore state captured by [`DisaggRuntime::export_state`]. The
-    /// caller validated the shape against the plan and fleet.
-    fn import_state(&mut self, s: &DisaggState) {
-        self.assignments = s
-            .assignments
-            .iter()
-            .map(|&(id, d, b)| (id, d as usize, b))
-            .collect();
-        self.stats = DisaggStats {
-            handoffs: s.handoffs,
-            kv_bytes_shipped: s.kv_bytes_shipped,
-            transfer_seconds: s.transfer_seconds,
-            reprefills: s.reprefills,
-        };
     }
 }
 
@@ -1113,72 +1083,6 @@ impl<'p> FaultRuntime<'p> {
         let restart_at = replicas[i].clock().max(fault_at_s) + down_s;
         self.schedule(restart_at, Action::Restart(i));
     }
-
-    fn export_state(&self) -> FaultState {
-        FaultState {
-            events: self
-                .events
-                .iter()
-                .map(|e| {
-                    let (code, arg) = match e.action {
-                        Action::Apply(i) => (0u64, i as u64),
-                        Action::Restart(i) => (1, i as u64),
-                        Action::ClearSlow(i) => (2, i as u64),
-                    };
-                    (e.at_s.to_bits(), e.seq, code, arg)
-                })
-                .collect(),
-            seq: self.seq,
-            attempts: self
-                .attempts
-                .iter()
-                .map(|&(id, n)| (id, u64::from(n)))
-                .collect(),
-            draining_down: self
-                .draining_down
-                .iter()
-                .enumerate()
-                .filter_map(|(i, d)| {
-                    d.map(|(down_s, at_s)| (i as u64, down_s.to_bits(), at_s.to_bits()))
-                })
-                .collect(),
-            triggers: self
-                .trigger_state
-                .iter()
-                .map(|&(fires, armed_at)| (u64::from(fires), armed_at.to_bits()))
-                .collect(),
-        }
-    }
-
-    /// Restore state captured by [`FaultRuntime::export_state`]. The
-    /// caller validated the shape against the plan and fleet.
-    fn import_state(&mut self, s: &FaultState) {
-        self.events = s
-            .events
-            .iter()
-            .map(|&(at_bits, seq, code, arg)| TimedEvent {
-                at_s: f64::from_bits(at_bits),
-                seq,
-                action: match code {
-                    0 => Action::Apply(arg as usize),
-                    1 => Action::Restart(arg as usize),
-                    _ => Action::ClearSlow(arg as usize),
-                },
-            })
-            .collect();
-        self.seq = s.seq;
-        self.attempts = s.attempts.iter().map(|&(id, n)| (id, n as u32)).collect();
-        for d in self.draining_down.iter_mut() {
-            *d = None;
-        }
-        for &(replica, down_bits, at_bits) in &s.draining_down {
-            self.draining_down[replica as usize] =
-                Some((f64::from_bits(down_bits), f64::from_bits(at_bits)));
-        }
-        for (i, &(fires, armed_bits)) in s.triggers.iter().enumerate() {
-            self.trigger_state[i] = (fires as u32, f64::from_bits(armed_bits));
-        }
-    }
 }
 
 /// The least weighted-load admitting replica other than `skip` (the
@@ -1661,70 +1565,6 @@ impl<'p> AutoscaleRuntime<'p> {
         self.draining[i] = false;
         self.stats.scale_downs += 1;
     }
-
-    fn export_state(&self) -> AutoscaleState {
-        AutoscaleState {
-            events: self
-                .events
-                .iter()
-                .map(|e| {
-                    let (code, arg, lag) = match e.action {
-                        ScaleAction::Eval => (0u64, 0u64, 0u64),
-                        ScaleAction::ScaleUp { replica, lag_s } => {
-                            (1, replica as u64, lag_s.to_bits())
-                        }
-                        ScaleAction::ClearWarmup(i) => (2, i as u64, 0),
-                    };
-                    (e.at_s.to_bits(), e.seq, code, arg, lag)
-                })
-                .collect(),
-            seq: self.seq,
-            pool: self.pool.clone(),
-            draining: self.draining.clone(),
-            up_streak: u64::from(self.up_streak),
-            down_streak: u64::from(self.down_streak),
-            streak_start: self.streak_start,
-            cooldown_until: self.cooldown_until,
-            last_slo: self.last_slo,
-            scale_ups: self.stats.scale_ups,
-            scale_downs: self.stats.scale_downs,
-            scale_up_lag_s: self.stats.scale_up_lag_s,
-        }
-    }
-
-    /// Restore state captured by [`AutoscaleRuntime::export_state`].
-    /// The caller validated the shape against the policy and fleet.
-    fn import_state(&mut self, s: &AutoscaleState) {
-        self.events = s
-            .events
-            .iter()
-            .map(|&(at, seq, code, arg, lag)| ScaleEvent {
-                at_s: f64::from_bits(at),
-                seq,
-                action: match code {
-                    0 => ScaleAction::Eval,
-                    1 => ScaleAction::ScaleUp {
-                        replica: arg as usize,
-                        lag_s: f64::from_bits(lag),
-                    },
-                    _ => ScaleAction::ClearWarmup(arg as usize),
-                },
-            })
-            .collect();
-        self.seq = s.seq;
-        self.pool = s.pool.clone();
-        self.draining = s.draining.clone();
-        self.up_streak = s.up_streak as u32;
-        self.down_streak = s.down_streak as u32;
-        self.streak_start = s.streak_start;
-        self.cooldown_until = s.cooldown_until;
-        self.last_slo = s.last_slo;
-        self.stats = ScaleStats {
-            scale_ups: s.scale_ups,
-            scale_downs: s.scale_downs,
-            scale_up_lag_s: s.scale_up_lag_s,
-        };
-    }
 }
 
 /// The outcome of a bounded cluster run
@@ -1733,15 +1573,12 @@ impl<'p> AutoscaleRuntime<'p> {
 /// virtual-time bound and paused into a resumable [`ClusterSnapshot`],
 /// or it drained first and produced the final [`ClusterReport`].
 #[derive(Debug, Clone, PartialEq)]
-// One short-lived value per bounded run, never stored in bulk: the
-// ~200-byte inline report is cheaper than boxing every Done match.
-#[allow(clippy::large_enum_variant)]
 pub enum ClusterRun {
     /// The fleet paused at the first merge point whose next event lies
     /// at or past the bound; resume with
-    /// [`ClusterSimulation::resume`]. Boxed: a snapshot carries the
-    /// whole fleet's state and dwarfs a [`ClusterReport`].
-    Paused(Box<ClusterSnapshot>),
+    /// [`ClusterSimulation::resume`]. A snapshot is a few words (the
+    /// bound and a digest), so it is held inline.
+    Paused(ClusterSnapshot),
     /// The fleet drained (or hit every stage cap) before the bound.
     Done(ClusterReport),
 }
@@ -1758,7 +1595,7 @@ impl ClusterRun {
     /// The pause snapshot, if the run hit its bound.
     pub fn snapshot(self) -> Option<ClusterSnapshot> {
         match self {
-            ClusterRun::Paused(snapshot) => Some(*snapshot),
+            ClusterRun::Paused(snapshot) => Some(snapshot),
             ClusterRun::Done(_) => None,
         }
     }
@@ -1872,7 +1709,7 @@ impl ClusterSimulation {
         match self.run_inner(router, policies, executors, None, None) {
             Ok(ClusterRun::Done(report)) => report,
             Ok(ClusterRun::Paused(_)) => unreachable!("an unbounded run never pauses"),
-            Err(e) => unreachable!("no snapshot to validate: {e}"),
+            Err(e) => unreachable!("no snapshot to verify: {e}"),
         }
     }
 
@@ -1885,8 +1722,9 @@ impl ClusterSimulation {
     /// Pausing and [`resume`](Self::resume)-ing is **byte-identical**
     /// to the uninterrupted [`run`](Self::run) — same RNG draws, same
     /// routing, same final report to the bit (asserted by the
-    /// integration tests) — because snapshots capture the complete
-    /// dynamic state at a merge point of the clock-merge protocol.
+    /// integration tests) — because the run is deterministic and a
+    /// resume replays it to the same merge point (see
+    /// [`ClusterSnapshot`]).
     pub fn run_until<E: StageExecutor>(
         &self,
         router: &mut dyn Router,
@@ -1895,16 +1733,18 @@ impl ClusterSimulation {
         stop_s: f64,
     ) -> ClusterRun {
         self.run_inner(router, policies, executors, None, Some(stop_s))
-            .expect("no snapshot to validate")
+            .expect("no snapshot to verify")
     }
 
     /// Continue a paused run to completion. The cluster, scenario,
     /// router kind, fault plan and policies must match the run that
-    /// produced the snapshot; `executors` must be *freshly built*
-    /// (their carried batch state is restored from the snapshot).
-    /// Snapshots whose shape does not match this cluster (replica
-    /// count, tier set, fault plan) are rejected with a descriptive
-    /// error.
+    /// produced the snapshot, and the router, policies and `executors`
+    /// must be *freshly built*: the run replays from t = 0 to the
+    /// snapshot's merge point, checks the fleet digest there and goes
+    /// on. Returns a descriptive error when the replica count or the
+    /// fault, autoscale or disaggregation setup differs, when the fleet
+    /// drains before the snapshot's bound, or when the digest differs
+    /// (any other configuration, seed or build mismatch).
     pub fn resume<E: StageExecutor>(
         &self,
         snapshot: &ClusterSnapshot,
@@ -1921,7 +1761,8 @@ impl ClusterSimulation {
     /// Continue a paused run until a further bound (see
     /// [`run_until`](Self::run_until)); a run may pause and resume any
     /// number of times. Mismatched snapshots are rejected like in
-    /// [`resume`](Self::resume).
+    /// [`resume`](Self::resume). A bound at or before the snapshot's
+    /// pauses again at the snapshot's own merge point.
     pub fn resume_until<E: StageExecutor>(
         &self,
         snapshot: &ClusterSnapshot,
@@ -1933,189 +1774,28 @@ impl ClusterSimulation {
         self.run_inner(router, policies, executors, Some(snapshot), Some(stop_s))
     }
 
-    /// Reject a snapshot whose shape cannot belong to this cluster
-    /// before any of it is imported (imports assume a valid shape).
-    /// `policies` is the per-replica policy slice of the resuming run:
-    /// preemption-armed policies carry a parked pool the scenario
-    /// alone would not predict.
-    fn validate_snapshot(
-        &self,
-        snap: &ClusterSnapshot,
-        policies: &[Box<dyn SchedulingPolicy>],
-    ) -> Result<(), String> {
-        if snap.replicas.len() != self.configs.len() {
-            return Err(format!(
-                "snapshot has {} replicas, the cluster has {}",
-                snap.replicas.len(),
-                self.configs.len()
-            ));
-        }
-        match (&self.disagg, &snap.disagg) {
-            (Some(_), None) => {
-                return Err(
-                    "the cluster has a disaggregation plan but the snapshot has no disagg state"
-                        .to_string(),
-                );
-            }
-            (None, Some(_)) => {
-                return Err(
-                    "the snapshot has disagg state but the cluster has no disaggregation plan"
-                        .to_string(),
-                );
-            }
-            _ => {}
-        }
-        let tier_count = self.scenario.tiers.len();
-        let fault_count = self.faults.as_ref().map_or(0, |p| p.faults.len());
-        for (i, s) in snap.replicas.iter().enumerate() {
-            if s.tiers.len() != tier_count {
-                return Err(format!(
-                    "replica {i}: snapshot has {} SLO tiers, the scenario has {tier_count}",
-                    s.tiers.len()
-                ));
-            }
-            // Decode-pool replicas carry a parked pool even in
-            // single-shot scenarios (it receives prefill handoffs), and
-            // so does any replica whose policy arms preemption (the
-            // pool receives swapped-out paused contexts).
-            let expects_parked = self.scenario.conversation.is_some()
-                || self
-                    .disagg
-                    .as_ref()
-                    .is_some_and(|plan| plan.role_of(i) == PoolRole::Decode)
-                || policies.get(i).is_some_and(|p| p.preempt_spec().is_some());
-            if s.parked.is_some() != expects_parked {
-                return Err(format!(
-                    "replica {i}: snapshot parked-KV state does not match the scenario"
-                ));
-            }
-            if s.window_counts.len() != fault_count {
-                return Err(format!(
-                    "replica {i}: snapshot has {} fault windows, the plan has {fault_count}",
-                    s.window_counts.len()
-                ));
-            }
-            if let Some(w) = s.window_counts.iter().find(|w| w.len() != tier_count) {
-                return Err(format!(
-                    "replica {i}: a fault window has {} tier slots, the scenario has {tier_count}",
-                    w.len()
-                ));
-            }
-        }
-        match (&self.faults, &snap.fault) {
-            (Some(_), None) => {
-                return Err(
-                    "the cluster has a fault plan but the snapshot has no fault state".to_string(),
-                );
-            }
-            (None, Some(_)) => {
-                return Err(
-                    "the snapshot has fault state but the cluster has no fault plan".to_string(),
-                );
-            }
-            _ => {}
-        }
-        if let (Some(plan), Some(fs)) = (&self.faults, &snap.fault) {
-            for &(_, _, code, arg) in &fs.events {
-                let valid = match code {
-                    0 => (arg as usize) < plan.faults.len(),
-                    1 | 2 => (arg as usize) < self.configs.len(),
-                    _ => false,
-                };
-                if !valid {
-                    return Err(format!(
-                        "snapshot fault event has code {code} with out-of-range argument {arg}"
-                    ));
-                }
-            }
-            if let Some(&(replica, _, _)) = fs
-                .draining_down
-                .iter()
-                .find(|&&(r, _, _)| r as usize >= self.configs.len())
-            {
-                return Err(format!(
-                    "snapshot drain state targets replica {replica} of {}",
-                    self.configs.len()
-                ));
-            }
-            let trigger_count = plan.triggers.len();
-            if fs.triggers.len() != trigger_count {
-                return Err(format!(
-                    "snapshot has {} load-trigger states, the plan has {trigger_count}",
-                    fs.triggers.len()
-                ));
-            }
-        }
-        match (&self.autoscale, &snap.autoscale) {
-            (Some(_), None) => {
-                return Err(
-                    "the cluster has an autoscale policy but the snapshot has no autoscale state"
-                        .to_string(),
-                );
-            }
-            (None, Some(_)) => {
-                return Err(
-                    "the snapshot has autoscale state but the cluster has no autoscale policy"
-                        .to_string(),
-                );
-            }
-            _ => {}
-        }
-        if let Some(a) = &snap.autoscale {
-            if a.pool.len() != self.configs.len() || a.draining.len() != self.configs.len() {
-                return Err(format!(
-                    "snapshot autoscale state covers {} replicas, the cluster has {}",
-                    a.pool.len().max(a.draining.len()),
-                    self.configs.len()
-                ));
-            }
-            for &(_, _, code, arg, _) in &a.events {
-                let valid = match code {
-                    0 => true,
-                    1 | 2 => (arg as usize) < self.configs.len(),
-                    _ => false,
-                };
-                if !valid {
-                    return Err(format!(
-                        "snapshot scale event has code {code} with out-of-range argument {arg}"
-                    ));
-                }
-            }
-        }
-        if let (Some(plan), Some(d)) = (&self.disagg, &snap.disagg) {
-            if let Some(&(id, target, _)) = d
-                .assignments
-                .iter()
-                .find(|&&(_, t, _)| plan.role_of(t as usize) != PoolRole::Decode)
-            {
-                return Err(format!(
-                    "snapshot assigns request {id} to replica {target}, which is not in the \
-                     decode pool"
-                ));
-            }
-            if let Some(&(id, target, _)) = d
-                .assignments
-                .iter()
-                .find(|&&(_, t, _)| t as usize >= self.configs.len())
-            {
-                return Err(format!(
-                    "snapshot assigns request {id} to replica {target} of {}",
-                    self.configs.len()
-                ));
-            }
-        }
-        Ok(())
-    }
-
     fn run_inner<E: StageExecutor>(
         &self,
         router: &mut dyn Router,
         policies: &mut [Box<dyn SchedulingPolicy>],
         executors: &mut [E],
-        start: Option<&ClusterSnapshot>,
+        replay: Option<&ClusterSnapshot>,
         stop_s: Option<f64>,
     ) -> Result<ClusterRun, String> {
         let configs = &self.configs;
+        if let Some(snap) = replay {
+            snap.check_shape(
+                configs.len(),
+                self.faults.is_some(),
+                self.autoscale.is_some(),
+                self.disagg.is_some(),
+            )?;
+        }
+        // The merge point to verify before going on (the snapshot's
+        // bound and digest), cleared once it has been checked.
+        let mut replay = replay.map(|s| (s.taken_at_s(), s.digest()));
+        // A later pause can come no earlier than the replayed one.
+        let start_bound = replay.map_or(f64::NEG_INFINITY, |(bound, _)| bound);
         assert_eq!(
             configs.len(),
             policies.len(),
@@ -2129,15 +1809,14 @@ impl ClusterSimulation {
             .collect();
         if let Some(plan) = &self.disagg {
             // Roles are static configuration: assigned before any
-            // stepping or snapshot import.
+            // stepping.
             for (i, replica) in replicas.iter_mut().enumerate() {
                 replica.set_role(plan.role_of(i));
             }
         }
-        // Preemption is armed before any stepping or snapshot import:
-        // resumes need announced decode-join contexts and a parked
-        // pool from the very first stage (and an imported snapshot may
-        // already carry paused state).
+        // Preemption is armed before any stepping: announced
+        // decode-join contexts and the parked pool are needed from the
+        // very first stage.
         for (replica, policy) in replicas.iter_mut().zip(policies.iter()) {
             replica.prepare_preempt(policy.as_ref());
         }
@@ -2158,39 +1837,12 @@ impl ClusterSimulation {
             .autoscale
             .as_ref()
             .map(|policy| AutoscaleRuntime::new(policy, configs.len()));
-        if start.is_none() {
-            if let Some(rt) = &auto_rt {
-                // Fresh elastic start: everything beyond the floor
-                // begins parked in the standby pool.
-                for (i, replica) in replicas.iter_mut().enumerate() {
-                    if rt.pool[i] {
-                        replica.deactivate();
-                    }
-                }
-            }
-        }
-        if let Some(snap) = start {
-            self.validate_snapshot(snap, policies)?;
-            stream.import_state(&snap.stream);
-            router.import_state(&snap.router);
-            stats = snap.stats;
-            if let (Some(rt), Some(fs)) = (fault_rt.as_mut(), &snap.fault) {
-                rt.import_state(fs);
-            }
-            if let (Some(rt), Some(a)) = (auto_rt.as_mut(), &snap.autoscale) {
-                rt.import_state(a);
-            }
-            if let (Some(rt), Some(d)) = (disagg_rt.as_mut(), &snap.disagg) {
-                rt.import_state(d);
-            }
-            for ((replica, state), executor) in replicas
-                .iter_mut()
-                .zip(&snap.replicas)
-                .zip(executors.iter_mut())
-            {
-                replica.import_state(state);
-                if let Some(batch) = &state.batch {
-                    executor.import_batch(batch);
+        if let Some(rt) = &auto_rt {
+            // Elastic start: everything beyond the floor begins parked
+            // in the standby pool.
+            for (i, replica) in replicas.iter_mut().enumerate() {
+                if rt.pool[i] {
+                    replica.deactivate();
                 }
             }
         }
@@ -2226,12 +1878,11 @@ impl ClusterSimulation {
                     break;
                 }
             }
-            // ---- pause check, at the merge-point boundary ----
+            // ---- replay and pause checks, at the merge-point boundary ----
             // Peeking the arrival time here draws the same source
-            // request the upcoming dispatch would peek, so the stream
-            // state a snapshot captures is on the uninterrupted run's
-            // draw order.
-            if let Some(stop) = stop_s {
+            // request the upcoming dispatch would peek, so a bounded
+            // run stays on the uninterrupted run's draw order.
+            if replay.is_some() || stop_s.is_some() {
                 let next_event = [
                     fleet_next_start(&replicas),
                     stream.next_arrival_time(),
@@ -2244,26 +1895,27 @@ impl ClusterSimulation {
                     Some(best) if best <= t => Some(best),
                     _ => Some(t),
                 });
-                if next_event.is_some_and(|t| t >= stop) {
-                    let states = replicas
-                        .iter()
-                        .zip(executors.iter())
-                        .map(|(r, e)| {
-                            let mut state = r.export_state();
-                            state.batch = e.export_batch();
-                            state
-                        })
-                        .collect();
-                    return Ok(ClusterRun::Paused(Box::new(ClusterSnapshot {
-                        taken_at_s: stop,
-                        router: router.export_state(),
-                        stream: stream.export_state(),
-                        replicas: states,
-                        stats,
-                        fault: fault_rt.as_ref().map(FaultRuntime::export_state),
-                        autoscale: auto_rt.as_ref().map(AutoscaleRuntime::export_state),
-                        disagg: disagg_rt.as_ref().map(DisaggRuntime::export_state),
-                    })));
+                let reached = |bound: f64| next_event.is_some_and(|t| t >= bound);
+                let digest = || fleet_digest(&replicas, &stream, router, executors);
+                if let Some((bound, expected)) = replay.filter(|&(b, _)| reached(b)) {
+                    let found = digest();
+                    if found != expected {
+                        return Err(format!(
+                            "the replayed fleet's digest at the snapshot's bound {bound} s is \
+                             {found:016x}, the snapshot's is {expected:016x}: the scenario, \
+                             router, policies or executors differ from the paused run's"
+                        ));
+                    }
+                    replay = None;
+                }
+                if let Some(stop) = stop_s.filter(|&s| replay.is_none() && reached(s)) {
+                    let bound = stop.max(start_bound);
+                    return Ok(ClusterRun::Paused(ClusterSnapshot::new(
+                        bound,
+                        configs.len(),
+                        (fault_rt.is_some(), auto_rt.is_some(), disagg_rt.is_some()),
+                        digest(),
+                    )));
                 }
             }
             let limit = [
@@ -2301,6 +1953,12 @@ impl ClusterSimulation {
                 }
                 break;
             }
+        }
+        if let Some((bound, _)) = replay {
+            return Err(format!(
+                "the fleet drained before the snapshot's bound {bound} s: the run \
+                 being resumed ends earlier than the paused one"
+            ));
         }
 
         let mut fault_outcomes = match (&self.faults, &fault_rt) {
@@ -2937,8 +2595,7 @@ mod tests {
                 continue; // drained before this bound
             };
             paused_at_least_once = true;
-            // Through JSON and back: the v3 document carries the
-            // autoscale runtime too.
+            // Through JSON and back, then replay to the pause.
             let snap = ClusterSnapshot::from_json(&snap.to_json()).expect("round-trips");
             let resumed = sim()
                 .resume(
@@ -2956,9 +2613,8 @@ mod tests {
     #[test]
     fn a_mid_preemption_snapshot_resumes_bit_for_bit() {
         // Saturate a preempting fleet so stages pause batch decodes,
-        // then stop at bounds chosen to land while paused requests are
-        // in flight: the v5 snapshot must carry them (and any formed
-        // multiplex slots) through JSON and resume to the exact
+        // then stop at bounds spread over the preemption window: each
+        // snapshot goes through JSON and resumes to the exact
         // uninterrupted report.
         let scenario = || {
             Scenario::new(
@@ -2981,7 +2637,7 @@ mod tests {
             &mut [Fixed(0.01); 2],
         );
         assert!(full.preempt().preemptions > 0, "{:?}", full.preempt());
-        let mut paused_in_flight = false;
+        let mut paused_at_least_once = false;
         for stop in [0.02, 0.05, 0.1, 0.2, 0.4] {
             let run = sim().run_until(
                 &mut RoundRobin::default(),
@@ -2992,7 +2648,7 @@ mod tests {
             let Some(snap) = run.snapshot() else {
                 continue; // drained before this bound
             };
-            paused_in_flight |= snap.replicas.iter().any(|r| !r.paused.is_empty());
+            paused_at_least_once = true;
             let snap = ClusterSnapshot::from_json(&snap.to_json()).expect("round-trips");
             let resumed = sim()
                 .resume(
@@ -3004,10 +2660,7 @@ mod tests {
                 .expect("resumes");
             assert_eq!(resumed, full, "stop at {stop}");
         }
-        assert!(
-            paused_in_flight,
-            "no stop bound caught a paused request mid-flight"
-        );
+        assert!(paused_at_least_once);
     }
 
     #[test]

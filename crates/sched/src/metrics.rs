@@ -186,37 +186,9 @@ impl LatencyDigest {
         self.sum += other.sum;
     }
 
-    /// Export the digest for a snapshot: the nonzero buckets as
-    /// `(index, count, sum)` plus the global count and sum. The global
-    /// sum is accumulated in record order and is *not* recomputable
-    /// from the bucket sums bit-exactly, so it is carried explicitly.
-    pub(crate) fn export_state(&self) -> (Vec<(u64, u64, f64)>, u64, f64) {
-        let buckets = self
-            .buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &(n, _))| n > 0)
-            .map(|(i, &(n, sum))| (i as u64, n, sum))
-            .collect();
-        (buckets, self.count, self.sum)
-    }
-
-    /// Rebuild a digest from [`export_state`](Self::export_state)
-    /// output. A never-recorded digest round-trips to
-    /// `LatencyDigest::default()` — bucket allocation stays lazy so
-    /// `PartialEq` cannot tell a restored digest from the original.
-    pub(crate) fn import_state(buckets: &[(u64, u64, f64)], count: u64, sum: f64) -> Self {
-        let mut d = LatencyDigest::default();
-        if count == 0 {
-            return d;
-        }
-        d.buckets.resize(DIGEST_BUCKETS, (0, 0.0));
-        for &(i, n, s) in buckets {
-            d.buckets[i as usize] = (n, s);
-        }
-        d.count = count;
-        d.sum = sum;
-        d
+    /// Sum of the recorded samples, accumulated in record order.
+    pub(crate) fn sum(&self) -> f64 {
+        self.sum
     }
 
     /// p50/p90/p99/mean summary of the recorded population.

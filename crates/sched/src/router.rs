@@ -309,15 +309,17 @@ pub trait Router {
         }
     }
 
-    /// The router's mutable state as opaque words, for cluster
-    /// snapshots. Stateless routers (the default) export nothing;
-    /// [`RoundRobin`] exports its rotation cursor.
+    /// The router's mutable state as opaque words, folded into the
+    /// cluster snapshot digest (see [`crate::ClusterSnapshot`]).
+    /// Stateless routers (the default) export nothing; [`RoundRobin`]
+    /// exports its rotation cursors.
     fn export_state(&self) -> Vec<u64> {
         Vec::new()
     }
 
-    /// Restore state captured by [`export_state`](Self::export_state).
-    /// The default ignores it (stateless routers).
+    /// No longer called: a resume replays the run on a fresh router
+    /// instead of restoring its state. Kept, as a no-op, so wrappers
+    /// that forward it still compile.
     fn import_state(&mut self, state: &[u64]) {
         let _ = state;
     }
@@ -374,15 +376,6 @@ impl Router for RoundRobin {
 
     fn export_state(&self) -> Vec<u64> {
         vec![self.next as u64, self.decode_next as u64]
-    }
-
-    fn import_state(&mut self, state: &[u64]) {
-        if let Some(&next) = state.first() {
-            self.next = next as usize;
-        }
-        if let Some(&next) = state.get(1) {
-            self.decode_next = next as usize;
-        }
     }
 }
 
@@ -729,10 +722,6 @@ impl Router for FleetShed {
 
     fn export_state(&self) -> Vec<u64> {
         self.inner.export_state()
-    }
-
-    fn import_state(&mut self, state: &[u64]) {
-        self.inner.import_state(state);
     }
 }
 
@@ -1184,26 +1173,5 @@ mod tests {
         for kind in RouterKind::ALL {
             assert_eq!(kind.build_with(&ctx).name(), kind.name());
         }
-    }
-
-    #[test]
-    fn round_robin_state_round_trips_mid_rotation() {
-        let snaps = vec![snapshot(0, 1.0); 3];
-        let mut rr = RoundRobin::default();
-        rr.route(&request(0), &snaps);
-        rr.route(&request(0), &snaps);
-        let state = rr.export_state();
-        let mut restored = RoundRobin::default();
-        restored.import_state(&state);
-        for _ in 0..4 {
-            assert_eq!(
-                restored.route(&request(0), &snaps),
-                rr.route(&request(0), &snaps)
-            );
-        }
-        // Stateless routers export nothing and ignore imports.
-        let mut jsq = LeastOutstandingWork;
-        assert!(Router::export_state(&jsq).is_empty());
-        jsq.import_state(&[7]);
     }
 }

@@ -78,10 +78,6 @@ use crate::preempt::{MultiplexSpec, PreemptSpec, PreemptStats};
 use crate::request::{Request, RequestRecord};
 use crate::router::PoolRole;
 use crate::scheduler::{SimulationConfig, StageExecutor};
-use crate::snapshot::{
-    ActiveState, ChunkingState, DigestState, KvState, MuxMemberState, MuxState, PausedState,
-    ReplicaState, ResumeState, StreamState, TierState,
-};
 use crate::trace::TraceRecorder;
 use crate::workload::{exp_sample, sample_len, Arrivals, RequestSource, Workload};
 
@@ -592,9 +588,9 @@ impl<'a> ScenarioStream<'a> {
     /// Re-enqueue a request that left the fleet (crash retry, drain
     /// reroute) so it flows back through the router at its (possibly
     /// rewritten) arrival time. Rides the follow-up queue: the request
-    /// merges into the global arrival order and is captured by stream
-    /// snapshots like any other queued arrival. No RNG is drawn — the
-    /// request keeps its identity, tier and history.
+    /// merges into the global arrival order like any other queued
+    /// arrival. No RNG is drawn — the request keeps its identity, tier
+    /// and history.
     pub(crate) fn requeue(&mut self, p: PendingRequest) {
         let pos = self
             .followups
@@ -602,43 +598,22 @@ impl<'a> ScenarioStream<'a> {
         self.followups.insert(pos, p);
     }
 
-    /// Capture the stream's dynamic state (both RNG streams, draw
-    /// counters, the peeked request and queued follow-ups) for a
-    /// [`crate::ClusterSnapshot`]. Static configuration (workload,
-    /// tiers, conversation spec) is not captured: a resume rebuilds it
-    /// from the same [`Scenario`].
-    pub(crate) fn export_state(&self) -> StreamState {
-        let (source_rng, source_next_id, source_clock, source_burst_on, source_phase_until) =
-            self.source.export_state();
-        StreamState {
-            source_rng,
-            source_next_id,
-            source_clock,
-            source_burst_on,
-            source_phase_until,
-            rng: self.rng.state(),
-            drawn: self.drawn as u64,
-            next_id: self.next_id,
-            peeked: self.peeked,
-            followups: self.followups.clone(),
-        }
-    }
-
-    /// Restore state captured by [`export_state`](Self::export_state)
-    /// onto a freshly built stream for the same scenario.
-    pub(crate) fn import_state(&mut self, s: &StreamState) {
-        self.source.import_state(
-            s.source_rng,
-            s.source_next_id,
-            s.source_clock,
-            s.source_burst_on,
-            s.source_phase_until,
-        );
-        self.rng = StdRng::from_state(s.rng);
-        self.drawn = s.drawn as usize;
-        self.next_id = s.next_id;
-        self.peeked = s.peeked;
-        self.followups = s.followups.clone();
+    /// The words of the stream's state that the fleet digest covers
+    /// (see `crate::snapshot::fleet_digest`): requests drawn so far
+    /// and both RNG states.
+    pub(crate) fn digest_words(&self) -> [u64; 9] {
+        let (source, own) = (self.source.rng_state(), self.rng.state());
+        [
+            self.drawn as u64,
+            source[0],
+            source[1],
+            source[2],
+            source[3],
+            own[0],
+            own[1],
+            own[2],
+            own[3],
+        ]
     }
 }
 
@@ -968,8 +943,8 @@ impl ReplicaSim {
             .sum()
     }
 
-    /// Arm the preemption machinery before the run starts (and before
-    /// any snapshot import) when `policy` preempts: resumes join the
+    /// Arm the preemption machinery before the run starts when
+    /// `policy` preempts: resumes join the
     /// batch above their prefilled length, so deltas must announce
     /// decode-join contexts, and swap-out needs a parked pool even in
     /// single-shot scenarios. A no-op for plain policies.
@@ -1014,8 +989,8 @@ impl ReplicaSim {
 
     /// Arm fault-plan recording: the during-failure SLO windows (one
     /// per scripted fault) and the generated-token timeline bucket.
-    /// Must be called before the run starts (and before any snapshot
-    /// import) so no-fault runs skip the recording entirely.
+    /// Must be called before the run starts so no-fault runs skip the
+    /// recording entirely.
     pub(crate) fn set_fault_recording(&mut self, windows: Vec<(f64, f64)>, bucket_s: f64) {
         self.window_counts = vec![vec![(0, 0); self.tier_stats.len()]; windows.len()];
         self.fault_windows = windows;
@@ -1033,8 +1008,8 @@ impl ReplicaSim {
     /// conversation spec (and hence no pool of its own).
     const HANDOFF_PAGE_TOKENS: u64 = 16;
 
-    /// Assign this replica's pool role before the run starts (or before
-    /// a snapshot import). A `Decode` replica must announce decode-join
+    /// Assign this replica's pool role before the run starts. A
+    /// `Decode` replica must announce decode-join
     /// contexts — handed-off prompts join above their shipped KV — and
     /// needs a parked pool to receive that KV even in single-shot
     /// scenarios.
@@ -2255,270 +2230,20 @@ impl ReplicaSim {
         }
     }
 
-    /// Capture this replica's dynamic state for a
-    /// [`crate::ClusterSnapshot`]. Only valid at a merge point, where
-    /// the admission and retire-event buffers are empty; the carried
-    /// [`StageDelta`] `fresh` flag and retirement list are the only
-    /// cross-step stage state, and both are captured. The executor's
-    /// batch checkpoint is filled in by the cluster (which owns the
-    /// executors).
-    pub(crate) fn export_state(&self) -> ReplicaState {
-        assert!(
-            self.admitted.is_empty(),
-            "snapshot outside a merge point: admissions in flight"
-        );
-        assert!(
-            self.resumed.is_empty() && self.mux_admitted.is_empty(),
-            "snapshot outside a merge point: resumes in flight"
-        );
-        assert!(
-            self.retire_events.is_empty(),
-            "snapshot outside a merge point: undrained retire events"
-        );
-        assert!(
-            self.handoffs.is_empty(),
-            "snapshot outside a merge point: undelivered prefill handoffs"
-        );
-        debug_assert!(
-            self.delta.admit.is_empty()
-                && self.delta.admit_ctx.is_empty()
-                && self.delta.chunk.is_empty(),
-            "per-stage delta fields must be clear between steps"
-        );
-        ReplicaState {
-            inbox: self.inbox.clone(),
-            pending: self.pending.clone(),
-            active: self
-                .active
-                .iter()
-                .map(|a| ActiveState {
-                    pending: a.pending.clone(),
-                    generated: a.generated,
-                    first_token_s: a.first_token_s,
-                })
-                .collect(),
-            chunking: self
-                .chunking
-                .iter()
-                .map(|c| ChunkingState {
-                    pending: c.pending.clone(),
-                    history: c.history,
-                    processed: c.processed,
-                    prefill_total: c.prefill_total,
-                    resumed: c.resumed.map(|r| ResumeState {
-                        generated: r.generated,
-                        first_token_s: r.first_token_s,
-                    }),
-                })
-                .collect(),
-            paused: self
-                .paused
-                .iter()
-                .map(|p| PausedState {
-                    pending: p.pending.clone(),
-                    generated: p.generated,
-                    first_token_s: p.first_token_s,
-                    ctx: p.ctx,
-                    swapped: p.swapped,
-                    paused_at_s: p.paused_at_s,
-                })
-                .collect(),
-            mux: self
-                .mux
-                .iter()
-                .map(|s| MuxState {
-                    ctx: s.ctx,
-                    generated: s.generated,
-                    kv_bytes: s.kv_bytes,
-                    quality: s.quality,
-                    members: s
-                        .members
-                        .iter()
-                        .map(|m| MuxMemberState {
-                            pending: m.pending.clone(),
-                            generated: m.generated,
-                            first_token_s: m.first_token_s,
-                        })
-                        .collect(),
-                })
-                .collect(),
-            preempt: self.preempt,
-            parked: self.parked.as_ref().map(|cache| {
-                let (clock, entries) = cache.export_entries();
-                KvState { clock, entries }
-            }),
-            reserved: self.reserved,
-            clock: self.clock,
-            delta_fresh: self.delta.fresh,
-            delta_retire: self.delta.retire.clone(),
-            completed: self.completed.clone(),
-            stages: self.stages.clone(),
-            stage_stats: self.stage_stats,
-            tbt_digest: digest_state(&self.tbt_digest),
-            tiers: self
-                .tier_stats
-                .iter()
-                .map(|t| TierState {
-                    completed: t.completed,
-                    met: t.met,
-                    good_tokens: t.good_tokens,
-                    tbt: digest_state(&t.tbt_digest),
-                })
-                .collect(),
-            kv_reuse: self.kv_reuse,
-            admitting: self.admitting,
-            draining: self.draining,
-            perf_factor: self.perf_factor,
-            down_since: self.down_since,
-            down_seconds: self.down_seconds,
-            timeline: self.timeline.clone(),
-            window_counts: self.window_counts.clone(),
-            batch: None,
-        }
+    /// The words of this replica's state that the fleet digest covers
+    /// (see `crate::snapshot::fleet_digest`): clock bits, stage and
+    /// completion counts, reserved KV, and the token-gap digest's
+    /// count and sum bits.
+    pub(crate) fn digest_words(&self) -> [u64; 6] {
+        [
+            self.clock.to_bits(),
+            self.stage_stats.stages,
+            self.completed.len() as u64,
+            self.reserved,
+            self.tbt_digest.count(),
+            self.tbt_digest.sum().to_bits(),
+        ]
     }
-
-    /// Restore state captured by [`export_state`](Self::export_state)
-    /// onto a freshly built replica for the same scenario and config.
-    /// `tier_active` is derived state and is recounted from the active
-    /// set (identical to its incremental maintenance).
-    pub(crate) fn import_state(&mut self, s: &ReplicaState) {
-        self.inbox = s.inbox.clone();
-        self.pending = s.pending.clone();
-        self.active = s
-            .active
-            .iter()
-            .map(|a| ActiveRequest {
-                pending: a.pending.clone(),
-                generated: a.generated,
-                first_token_s: a.first_token_s,
-            })
-            .collect();
-        self.chunking = s
-            .chunking
-            .iter()
-            .map(|c| ChunkingRequest {
-                pending: c.pending.clone(),
-                history: c.history,
-                processed: c.processed,
-                prefill_total: c.prefill_total,
-                resumed: c.resumed.as_ref().map(|r| ResumeCarry {
-                    generated: r.generated,
-                    first_token_s: r.first_token_s,
-                }),
-            })
-            .collect();
-        self.paused = s
-            .paused
-            .iter()
-            .map(|p| PausedRequest {
-                pending: p.pending.clone(),
-                generated: p.generated,
-                first_token_s: p.first_token_s,
-                ctx: p.ctx,
-                swapped: p.swapped,
-                paused_at_s: p.paused_at_s,
-            })
-            .collect();
-        self.mux = s
-            .mux
-            .iter()
-            .map(|m| MuxSlot {
-                ctx: m.ctx,
-                generated: m.generated,
-                kv_bytes: m.kv_bytes,
-                quality: m.quality,
-                members: m
-                    .members
-                    .iter()
-                    .map(|mm| MuxMember {
-                        pending: mm.pending.clone(),
-                        generated: mm.generated,
-                        first_token_s: mm.first_token_s,
-                    })
-                    .collect(),
-            })
-            .collect();
-        self.preempt = s.preempt;
-        match (&mut self.parked, &s.parked) {
-            (Some(cache), Some(kv)) => cache.import_entries(kv.clock, &kv.entries),
-            (None, None) => {}
-            (None, Some(kv)) => {
-                // A preempting policy swapped contexts out on a
-                // scenario with no conversation pool of its own:
-                // recreate the pool exactly as `prepare_preempt` does.
-                let mut cache = PagedKvCache::new(
-                    self.config.kv_capacity_bytes,
-                    Self::HANDOFF_PAGE_TOKENS,
-                    self.config.kv_bytes_per_token.max(1),
-                    EvictionPolicy::Recompute,
-                );
-                cache.import_entries(kv.clock, &kv.entries);
-                self.parked = Some(cache);
-            }
-            (Some(_), None) => panic!("snapshot parked-KV state does not match the scenario"),
-        }
-        self.reserved = s.reserved;
-        self.clock = s.clock;
-        self.delta = StageDelta::start();
-        if !s.delta_fresh {
-            self.delta.clear();
-        }
-        self.delta.retire.extend_from_slice(&s.delta_retire);
-        self.completed = s.completed.clone();
-        self.stages = s.stages.clone();
-        self.stage_stats = s.stage_stats;
-        self.tbt_digest = import_digest(&s.tbt_digest);
-        assert_eq!(
-            self.tier_stats.len(),
-            s.tiers.len(),
-            "snapshot tier set does not match the scenario"
-        );
-        for (t, ts) in self.tier_stats.iter_mut().zip(&s.tiers) {
-            t.completed = ts.completed;
-            t.met = ts.met;
-            t.good_tokens = ts.good_tokens;
-            t.tbt_digest = import_digest(&ts.tbt);
-        }
-        for n in self.tier_active.iter_mut() {
-            *n = 0;
-        }
-        if !self.tier_active.is_empty() {
-            for a in &self.active {
-                self.tier_active[a.pending.tier] += 1;
-            }
-            // Live multiplexed members count toward their tiers too.
-            for slot in &self.mux {
-                for m in &slot.members {
-                    if m.generated < m.pending.request.output_len {
-                        self.tier_active[m.pending.tier] += 1;
-                    }
-                }
-            }
-        }
-        self.kv_reuse = s.kv_reuse;
-        self.admitting = s.admitting;
-        self.draining = s.draining;
-        self.perf_factor = s.perf_factor;
-        self.down_since = s.down_since;
-        self.down_seconds = s.down_seconds;
-        self.timeline = s.timeline.clone();
-        // `set_fault_recording` sized these from the plan before the
-        // import; the cluster validates the snapshot shape up front.
-        self.window_counts = s.window_counts.clone();
-    }
-}
-
-fn digest_state(d: &LatencyDigest) -> DigestState {
-    let (buckets, count, sum) = d.export_state();
-    DigestState {
-        buckets,
-        count,
-        sum,
-    }
-}
-
-fn import_digest(s: &DigestState) -> LatencyDigest {
-    LatencyDigest::import_state(&s.buckets, s.count, s.sum)
 }
 
 /// A configured scenario run, ready for a policy and an executor.

@@ -34,11 +34,11 @@ pub struct StageOutcome {
     pub seconds: f64,
 }
 
-/// Executor-side batch state captured by a cluster snapshot: the
-/// carried decode groups, the decode-join contexts pending from the
-/// previous stage, and the executor's RNG stream (sampled expert
-/// routing draws from it, so resuming must continue the same stream
-/// for bit-identical pricing).
+/// Executor-side batch state covered by the cluster snapshot digest:
+/// the carried decode groups, the decode-join contexts pending from
+/// the previous stage, and the executor's RNG stream (sampled expert
+/// routing draws from it, so a replay on a differently seeded
+/// executor shows up here).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchCheckpoint {
     /// Run-length-encoded decode groups as `(ctx, reqs)`, ascending.
@@ -69,18 +69,17 @@ pub trait StageExecutor {
         self.execute(shape)
     }
 
-    /// Export the executor's carried batch state for a cluster
-    /// snapshot. Stateless executors (the default) have nothing to
-    /// carry and return `None`, and a snapshot without a checkpoint
-    /// skips [`import_batch`](Self::import_batch) on resume.
+    /// Export the executor's carried batch state, folded into the
+    /// cluster snapshot digest (see [`crate::ClusterSnapshot`]).
+    /// Stateless executors (the default) have nothing to carry and
+    /// return `None`.
     fn export_batch(&self) -> Option<BatchCheckpoint> {
         None
     }
 
-    /// Restore a previously exported batch state so that resumed
-    /// stages price bit-identically to the uninterrupted run. The
-    /// default ignores the checkpoint (stateless executors re-derive
-    /// everything from the first fresh delta or shape).
+    /// No longer called: a resume replays the run on fresh executors
+    /// instead of restoring their batch state. Kept, as a no-op, so
+    /// wrappers that forward it still compile.
     fn import_batch(&mut self, checkpoint: &BatchCheckpoint) {
         let _ = checkpoint;
     }

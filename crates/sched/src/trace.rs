@@ -28,12 +28,17 @@ pub struct TraceRequest {
     pub output_len: u64,
 }
 
+/// Largest token count a trace may hold: 2^53, beyond which JSON
+/// numbers (parsed as `f64`) no longer represent every integer.
+const MAX_EXACT_INTEGER: f64 = 9_007_199_254_740_992.0;
+
 /// Parse a trace document from JSON text.
 ///
 /// # Errors
 ///
 /// Returns a message naming the offending entry on malformed JSON,
-/// missing fields, or non-finite/negative arrival times.
+/// missing fields, non-finite/negative arrival times, or lengths that
+/// are negative, fractional or above 2^53.
 pub fn parse_trace(text: &str) -> Result<Vec<TraceRequest>, String> {
     let doc = parse(text)?;
     let entries = doc
@@ -60,6 +65,14 @@ pub fn parse_trace(text: &str) -> Result<Vec<TraceRequest>, String> {
             if !raw.is_finite() || raw < 0.0 {
                 return Err(format!(
                     "request {i}: {name} must be finite and non-negative"
+                ));
+            }
+            if raw.fract() != 0.0 {
+                return Err(format!("request {i}: {name} must be an integer, got {raw}"));
+            }
+            if raw > MAX_EXACT_INTEGER {
+                return Err(format!(
+                    "request {i}: {name} {raw} is above 2^53, the largest exact integer"
                 ));
             }
             Ok(raw as u64)
@@ -185,6 +198,30 @@ mod tests {
         assert!(parse_trace(r#"[{"arrival_s": 0, "input_len": -500, "output_len": 1}]"#).is_err());
         assert!(parse_trace(r#"[{"arrival_s": 0, "input_len": 1, "output_len": -2}]"#).is_err());
         assert!(parse_trace(r#"{"no_requests": 3}"#).is_err());
+        // Fractional and out-of-range lengths, naming the entry.
+        let ok = r#"{"arrival_s": 0, "input_len": 1, "output_len": 1}"#;
+        let err = parse_trace(&format!(
+            r#"[{ok}, {{"arrival_s": 0, "input_len": 1.5, "output_len": 1}}]"#
+        ))
+        .expect_err("fractional input_len");
+        assert!(
+            err.contains("request 1") && err.contains("integer"),
+            "{err}"
+        );
+        let err = parse_trace(r#"[{"arrival_s": 0, "input_len": 1, "output_len": 2.25}]"#)
+            .expect_err("fractional output_len");
+        assert!(err.contains("request 0: output_len"), "{err}");
+        let err = parse_trace(r#"[{"arrival_s": 0, "input_len": 1e30, "output_len": 1}]"#)
+            .expect_err("input_len past 2^53");
+        assert!(err.contains("request 0") && err.contains("2^53"), "{err}");
+        let err =
+            parse_trace(r#"[{"arrival_s": 0, "input_len": 1, "output_len": 9007199254740994}]"#)
+                .expect_err("output_len just past 2^53");
+        assert!(err.contains("request 0: output_len"), "{err}");
+        let max =
+            parse_trace(r#"[{"arrival_s": 0, "input_len": 9007199254740992, "output_len": 0}]"#)
+                .expect("2^53 itself is exact");
+        assert_eq!(max[0].input_len, 1 << 53);
         assert!(parse_trace("not json").is_err());
     }
 

@@ -303,35 +303,9 @@ impl RequestSource {
         r
     }
 
-    /// Export the source's dynamic state for a snapshot: RNG words,
-    /// next request id, arrival clock, and the bursty phase machine.
-    /// The workload and arrival process are configuration and are
-    /// reconstructed from the scenario on resume.
-    pub(crate) fn export_state(&self) -> ([u64; 4], u64, f64, bool, f64) {
-        (
-            self.rng.state(),
-            self.next_id,
-            self.clock,
-            self.burst_on,
-            self.phase_until,
-        )
-    }
-
-    /// Restore the dynamic state captured by
-    /// [`export_state`](Self::export_state).
-    pub(crate) fn import_state(
-        &mut self,
-        rng: [u64; 4],
-        next_id: u64,
-        clock: f64,
-        burst_on: bool,
-        phase_until: f64,
-    ) {
-        self.rng = StdRng::from_state(rng);
-        self.next_id = next_id;
-        self.clock = clock;
-        self.burst_on = burst_on;
-        self.phase_until = phase_until;
+    /// The source's RNG state (covered by the fleet digest).
+    pub(crate) fn rng_state(&self) -> [u64; 4] {
+        self.rng.state()
     }
 }
 

@@ -1442,15 +1442,6 @@ impl StageExecutor for SystemExecutor {
             rng: self.rng.state(),
         })
     }
-
-    fn import_batch(&mut self, checkpoint: &BatchCheckpoint) {
-        self.batch
-            .restore(&checkpoint.decode_groups, &checkpoint.pending_joins);
-        // The decode template is a pure function of the groups; drop it
-        // and let the next stage rebuild it (bit-identical).
-        self.template = None;
-        self.rng = StdRng::from_state(checkpoint.rng);
-    }
 }
 
 #[cfg(test)]

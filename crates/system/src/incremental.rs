@@ -156,28 +156,11 @@ impl BatchState {
         }
     }
 
-    /// Export the batch's dynamic state for snapshotting: the decode
-    /// groups as `(ctx, reqs)` run-length pairs (ascending context,
-    /// absolute values) plus the pending decode-join contexts.
+    /// Export the batch's dynamic state for the snapshot digest: the
+    /// decode groups as `(ctx, reqs)` run-length pairs (ascending
+    /// context, absolute values) plus the pending decode-join contexts.
     pub fn export(&self) -> (Vec<(u64, u64)>, Vec<u64>) {
         (self.groups.iter().collect(), self.pending.clone())
-    }
-
-    /// Rebuild the batch state from an [`export`](Self::export).
-    /// `ContextGroups::insert` merges into canonical ascending RLE
-    /// form with a zero offset, so a restored state prices stages
-    /// bit-identically to the original regardless of how many
-    /// `advance` calls the original had accumulated.
-    pub fn restore(&mut self, groups: &[(u64, u64)], pending: &[u64]) {
-        self.groups.clear();
-        for &(ctx, reqs) in groups {
-            for _ in 0..reqs {
-                self.groups.insert(ctx);
-            }
-        }
-        self.pending.clear();
-        self.pending.extend_from_slice(pending);
-        self.synced = true;
     }
 
     /// Per-node request counts and context sums under the executor's
@@ -367,26 +350,6 @@ mod tests {
         assert_eq!(shape.prefill_len, vec![256, 64]);
         assert_eq!(shape.prefill_past, vec![644, 320]);
         assert_eq!(shape.prefill_hold, vec![false, true]);
-    }
-
-    #[test]
-    fn export_restore_round_trips_pricing_state() {
-        let mut b = BatchState::default();
-        let mut d = delta(true, &[64, 100], &[]);
-        d.admit_ctx = vec![512, 100];
-        b.apply(&d);
-        b.apply(&delta(false, &[30], &[]));
-        let (groups, pending) = b.export();
-        assert_eq!(groups, vec![(101, 1), (513, 1)]);
-        assert_eq!(pending, vec![30]);
-        let mut r = BatchState::default();
-        r.restore(&groups, &pending);
-        assert!(r.is_synced());
-        assert_eq!(r.export(), (groups, pending));
-        // Both advance identically afterwards.
-        b.apply(&delta(false, &[], &[]));
-        r.apply(&delta(false, &[], &[]));
-        assert_eq!(b.export(), r.export());
     }
 
     #[test]

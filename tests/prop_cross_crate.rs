@@ -1214,8 +1214,8 @@ proptest! {
             );
 
             // Pause mid-run, push the snapshot through JSON, resume
-            // fresh. Paused requests and multiplex slots in flight at
-            // the stop ride the snapshot.
+            // fresh: the replay passes through the paused requests and
+            // multiplex slots in flight at the stop.
             let stop_s = stop_frac * full.total_time_s;
             let paused = mk_sim().run_until(
                 kind.build().as_mut(),
@@ -1237,6 +1237,63 @@ proptest! {
                     .expect("the snapshot matches the fleet");
                 prop_assert_eq!(&resumed, &full);
             }
+        }
+    }
+}
+
+/// Characters the JSON string proptest draws from: ASCII, every
+/// escaped character, and 2-, 3- and 4-byte UTF-8 scalars.
+const JSON_CHARS: [char; 14] = [
+    'a', 'Z', '7', ' ', '"', '\\', '/', '\n', '\t', '\r', 'é', 'τ', '€', '😀',
+];
+
+/// `s` as a JSON string literal using every escape the parser
+/// supports; `/` is escaped at even positions and kept raw at odd ones.
+fn json_quote(s: &str) -> String {
+    let mut out = String::from("\"");
+    for (i, c) in s.chars().enumerate() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '/' if i % 2 == 0 => out.push_str("\\/"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Strings round-trip through the parser, and every truncation of
+    /// the (object) document is an error, never a panic.
+    #[test]
+    fn json_strings_round_trip_and_truncations_fail(
+        a in proptest::collection::vec(0usize..JSON_CHARS.len(), 0..24),
+        b in proptest::collection::vec(0usize..JSON_CHARS.len(), 0..24),
+    ) {
+        let first: String = a.iter().map(|&i| JSON_CHARS[i]).collect();
+        let second: String = b.iter().map(|&i| JSON_CHARS[i]).collect();
+        let doc = format!(
+            "{{{}: [{}, 1.5, true, null], \"k\": {{\"n\": -2e3}}}}",
+            json_quote(&first),
+            json_quote(&second)
+        );
+        let parsed = duplex::sched::json::parse(&doc).expect("a valid document");
+        let members = parsed.as_object().expect("an object");
+        prop_assert_eq!(&members[0].0, &first);
+        let items = members[0].1.as_array().expect("an array");
+        prop_assert_eq!(items[0].as_str(), Some(second.as_str()));
+        for cut in (0..doc.len()).filter(|&n| doc.is_char_boundary(n)) {
+            prop_assert!(
+                duplex::sched::json::parse(&doc[..cut]).is_err(),
+                "prefix of {cut} bytes parsed: {:?}",
+                &doc[..cut]
+            );
         }
     }
 }
