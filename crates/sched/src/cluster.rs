@@ -1794,8 +1794,9 @@ impl ClusterSimulation {
         // The merge point to verify before going on (the snapshot's
         // bound and digest), cleared once it has been checked.
         let mut replay = replay.map(|s| (s.taken_at_s(), s.digest()));
-        // A later pause can come no earlier than the replayed one.
-        let start_bound = replay.map_or(f64::NEG_INFINITY, |(bound, _)| bound);
+        // A resumed run pauses no earlier than its snapshot's merge
+        // point, so the replay is always verified before a new pause.
+        let stop_s = stop_s.map(|s| replay.map_or(s, |(bound, _)| s.max(bound)));
         assert_eq!(
             configs.len(),
             policies.len(),
@@ -1908,10 +1909,9 @@ impl ClusterSimulation {
                     }
                     replay = None;
                 }
-                if let Some(stop) = stop_s.filter(|&s| replay.is_none() && reached(s)) {
-                    let bound = stop.max(start_bound);
+                if let Some(stop) = stop_s.filter(|&s| reached(s)) {
                     return Ok(ClusterRun::Paused(ClusterSnapshot::new(
-                        bound,
+                        stop,
                         configs.len(),
                         (fault_rt.is_some(), auto_rt.is_some(), disagg_rt.is_some()),
                         digest(),

@@ -944,10 +944,10 @@ impl ReplicaSim {
     }
 
     /// Arm the preemption machinery before the run starts when
-    /// `policy` preempts: resumes join the
-    /// batch above their prefilled length, so deltas must announce
-    /// decode-join contexts, and swap-out needs a parked pool even in
-    /// single-shot scenarios. A no-op for plain policies.
+    /// `policy` preempts: resumes join the batch above their prefilled
+    /// length, so deltas must announce decode-join contexts, and
+    /// swap-out needs a parked pool even in single-shot scenarios. A
+    /// no-op for plain policies.
     pub(crate) fn prepare_preempt(&mut self, policy: &dyn SchedulingPolicy) {
         if policy.preempt_spec().is_none() {
             return;
@@ -1009,10 +1009,9 @@ impl ReplicaSim {
     const HANDOFF_PAGE_TOKENS: u64 = 16;
 
     /// Assign this replica's pool role before the run starts. A
-    /// `Decode` replica must announce decode-join
-    /// contexts — handed-off prompts join above their shipped KV — and
-    /// needs a parked pool to receive that KV even in single-shot
-    /// scenarios.
+    /// `Decode` replica must announce decode-join contexts — handed-off
+    /// prompts join above their shipped KV — and needs a parked pool to
+    /// receive that KV even in single-shot scenarios.
     pub(crate) fn set_role(&mut self, role: PoolRole) {
         self.role = role;
         if role == PoolRole::Decode {

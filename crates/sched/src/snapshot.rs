@@ -14,7 +14,7 @@
 //!
 //! # What the digest covers
 //!
-//! [`fleet_digest`] folds, with 64-bit FNV-1a: per replica its clock
+//! `fleet_digest` folds, with 64-bit FNV-1a: per replica its clock
 //! bits, stage and completion counts, reserved KV and token-gap digest
 //! count and sum bits; the arrival stream's drawn count and both RNG
 //! states; the router's `export_state` words; and each executor's
