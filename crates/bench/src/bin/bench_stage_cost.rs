@@ -7,9 +7,11 @@
 //! * **full** — `SystemExecutor::stage_cost(&StageShape)`: the grouped
 //!   one-shot path, re-grouping the batch every stage;
 //! * **delta** — `SystemExecutor::stage_cost_delta(&StageDelta)`: the
-//!   incremental path, carrying batch state across stages and pricing
-//!   pure-advance decode stages in O(1) (mixed stages always fall back
-//!   to the full path, so the `mixed` class has no delta variant).
+//!   incremental path, carrying batch state across stages. Decode-only
+//!   classes are pure advances, priced in O(1); in `mixed_delta` every
+//!   stage admits one prompt and retires the oldest request, so the
+//!   membership changes every stage and the executor rebuilds its decode
+//!   template and prices the one prefill on top.
 //!
 //! Classes:
 //!
@@ -23,6 +25,7 @@
 //! print as a table and land in `BENCH_stage_cost.json` in the current
 //! directory so CI can track the perf trajectory across PRs.
 
+use std::collections::VecDeque;
 use std::time::Instant;
 
 use duplex::model::ops::StageShape;
@@ -92,26 +95,42 @@ fn measure_full(class: &ShapeClass, stages: u64) -> f64 {
     stages as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Price `stages` advancing stages through the incremental delta path
-/// (admit the cohort once, then pure advances) and return stages/s.
+/// Price `stages` stages through the incremental delta path and return
+/// stages/s. A decode-only class admits its cohort once and then only
+/// advances. A mixed class admits one more request than its batch, then
+/// every stage retires the oldest request and admits one `prefill`-token
+/// prompt: `batch` decodes plus one prefill, with the membership
+/// changing every stage.
 fn measure_delta(class: &ShapeClass, stages: u64) -> f64 {
-    assert!(
-        class.prefill.is_none(),
-        "delta path is for decode-only classes"
-    );
     let mut ex = SystemExecutor::new(class.system.clone(), class.model.clone(), 7);
     // Admit the cohort so it decodes from `start_ctx` onward, mirroring
     // the contexts the full-path measurement walks.
-    let mut admit = StageDelta::start();
-    admit.admit = vec![class.start_ctx - 1; class.batch];
-    ex.stage_cost_delta(&admit);
-    let advance = StageDelta::default();
+    let cohort = class.batch + usize::from(class.prefill.is_some());
+    let mut delta = StageDelta::start();
+    delta.admit = vec![class.start_ctx - 1; cohort];
+    ex.stage_cost_delta(&delta);
+    // Every request's context at stage `t` is `offset + t`; oldest first.
+    let mut offsets: VecDeque<i64> =
+        std::iter::repeat_n(class.start_ctx as i64 - 1, cohort).collect();
+    let mut stage = 0i64;
+    let mut step = |ex: &mut SystemExecutor| {
+        stage += 1;
+        delta.clear();
+        if let Some(prompt) = class.prefill {
+            let oldest = offsets.pop_front().expect("the batch never empties");
+            delta.retire.push((oldest + stage) as u64);
+            delta.admit.push(prompt);
+            // Joins at `prompt + 1` on the next stage.
+            offsets.push_back(prompt as i64 - stage);
+        }
+        ex.stage_cost_delta(&delta);
+    };
     for _ in 0..(stages / 10).max(1) {
-        ex.stage_cost_delta(&advance);
+        step(&mut ex);
     }
     let start = Instant::now();
     for _ in 0..stages {
-        ex.stage_cost_delta(&advance);
+        step(&mut ex);
     }
     stages as f64 / start.elapsed().as_secs_f64()
 }
@@ -126,8 +145,8 @@ fn main() {
     let scale = duplex_bench::scale_from_args();
     let quick = scale == duplex::experiments::Scale::quick();
     let stages: u64 = if quick { 300 } else { 3000 };
-    // The delta path is ~2 orders of magnitude faster; measure more
-    // stages so the timed window stays meaningful.
+    // The delta path is one to two orders of magnitude faster; measure
+    // more stages so the timed window stays meaningful.
     let delta_stages: u64 = if quick { 30_000 } else { 1_000_000 };
 
     let mut rows = Vec::new();
@@ -153,10 +172,8 @@ fn main() {
     for class in classes() {
         let sps = measure_full(&class, stages);
         push(class.name.to_string(), &class, sps, stages);
-        if class.prefill.is_none() {
-            let sps = measure_delta(&class, delta_stages);
-            push(format!("{}_delta", class.name), &class, sps, delta_stages);
-        }
+        let sps = measure_delta(&class, delta_stages);
+        push(format!("{}_delta", class.name), &class, sps, delta_stages);
     }
     print_table(
         "Stage-cost throughput (full vs incremental delta path)",

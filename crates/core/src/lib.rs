@@ -16,9 +16,11 @@
 //! Runs drive the scheduler's incremental stage contract end to end:
 //! each stage reaches the executor as a `StageDelta` (advance +
 //! admissions + retirements), so pure-decode stages — the bulk of
-//! every sweep — are priced in O(1) from carried batch state (see
-//! `duplex_system::incremental`), with the grouped full path as the
-//! fallback and `stage_cost_reference` as the pinned oracle.
+//! every sweep — are priced in O(1) from carried batch state, and
+//! mixed stages from that state plus only their admissions (see
+//! `duplex_system::incremental`). The grouped full path remains for
+//! sampled routing and pure-prefill stages, and `stage_cost_reference`
+//! is the pinned oracle.
 //! The pieces are exposed through re-exports if you need to go deeper
 //! (HBM timing in [`hbm`], engines in [`compute`], model shapes in
 //! [`model`], the scheduler in [`sched`], systems in [`system`]). The

@@ -321,6 +321,41 @@ pub struct AttnOp {
 }
 
 impl AttnOp {
+    /// One decode group of `config`: `reqs` requests attending `ctx`
+    /// tokens each, in every layer.
+    pub fn decode(config: &ModelConfig, ctx: u64, reqs: u64) -> Self {
+        Self {
+            decode: true,
+            ctx,
+            past: 0,
+            q_rows: u64::from(config.deg_grp),
+            groups: u64::from(config.kv_heads()),
+            d_head: config.d_head(),
+            causal: false,
+            count: u64::from(config.n_layers),
+            reqs,
+            samples: true,
+        }
+    }
+
+    /// One prefill group of `config`: `reqs` requests prefilling `len`
+    /// new tokens over `past` resident ones; `hold` marks intermediate
+    /// chunks, which sample no token.
+    pub fn prefill(config: &ModelConfig, len: u64, past: u64, hold: bool, reqs: u64) -> Self {
+        Self {
+            decode: false,
+            ctx: len,
+            past,
+            q_rows: len * u64::from(config.deg_grp),
+            groups: u64::from(config.kv_heads()),
+            d_head: config.d_head(),
+            causal: true,
+            count: u64::from(config.n_layers),
+            reqs,
+            samples: !hold,
+        }
+    }
+
     /// Total KV length attended (`past + ctx`).
     pub fn attended(&self) -> u64 {
         self.past + self.ctx
@@ -603,7 +638,6 @@ pub fn enumerate_stage_into<R: Rng + ?Sized>(
     );
     let tokens = shape.tokens();
     let lm_rows = shape.sampled_rows();
-    let layers = u64::from(config.n_layers);
 
     work.tokens = tokens;
     work.lm_rows = lm_rows;
@@ -636,18 +670,7 @@ pub fn enumerate_stage_into<R: Rng + ?Sized>(
                 continue;
             }
         }
-        attn.push(AttnOp {
-            decode: true,
-            ctx,
-            past: 0,
-            q_rows: u64::from(config.deg_grp),
-            groups: u64::from(config.kv_heads()),
-            d_head: config.d_head(),
-            causal: false,
-            count: layers,
-            reqs: 1,
-            samples: true,
-        });
+        attn.push(AttnOp::decode(config, ctx, 1));
     }
     let decode_groups = attn.len();
     // Prefill groups key on the full `(len, past, hold)` triple: only
@@ -669,18 +692,7 @@ pub fn enumerate_stage_into<R: Rng + ?Sized>(
                 continue;
             }
         }
-        attn.push(AttnOp {
-            decode: false,
-            ctx: len,
-            past,
-            q_rows: len * u64::from(config.deg_grp),
-            groups: u64::from(config.kv_heads()),
-            d_head: config.d_head(),
-            causal: true,
-            count: layers,
-            reqs: 1,
-            samples: !hold,
-        });
+        attn.push(AttnOp::prefill(config, len, past, hold, 1));
     }
     debug_assert!(attn[..decode_groups].iter().all(|a| a.decode));
 

@@ -17,7 +17,7 @@
 //! * [`delta`] — the incremental stage contract: each stage is also
 //!   announced as a [`StageDelta`] (advance + admissions +
 //!   retirements), letting executors that carry batch state price
-//!   pure-decode stages in O(changes) instead of O(batch).
+//!   every stage in O(changes) instead of O(batch).
 //! * [`metrics`] — percentile summaries, streaming latency digests,
 //!   SLO attainment / goodput counters and the simulation report.
 //! * [`scenario`] — the scenario scheduler: SLO tiers, policy-driven

@@ -21,9 +21,10 @@
 //!
 //! Unlike the base loop, the waiting queue is materialized (policies
 //! need to see every arrived request), so memory is O(waiting), not
-//! O(batch). Stage execution still flows through the PR 2
-//! [`StageDelta`] fast path: pure-decode stages price in O(1), mixed
-//! admit/retire stages fall back to the grouped full path.
+//! O(batch). Stage execution still flows through the [`StageDelta`]
+//! fast path: pure-decode stages price in O(1), and mixed admit/retire
+//! stages price the carried decode batch from aggregates plus only the
+//! stage's admissions.
 //!
 //! Internally the run is split into two pieces the cluster scheduler
 //! ([`crate::cluster`]) reuses verbatim: a `ScenarioStream` owning

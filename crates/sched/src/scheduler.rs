@@ -15,8 +15,9 @@
 //!   holds O(batch) scheduler state, not O(total requests);
 //! * each stage is announced to the executor as a [`StageDelta`]
 //!   (advance + admissions + retirements) alongside the materialized
-//!   [`StageShape`], so incremental executors price pure-decode stages
-//!   in O(1) while plain executors fall back to the shape;
+//!   [`StageShape`], so incremental executors price each stage from
+//!   the change alone (a pure-decode stage in O(1), a mixed stage in
+//!   O(admissions)) while plain executors price the shape;
 //! * per-request accounting is O(1) (first/last token timestamps);
 //!   token gaps stream into a fixed-size digest once per stage.
 

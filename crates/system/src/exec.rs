@@ -27,7 +27,8 @@
 //!   (`duplex_compute::Engine::kernel_cost_uncached` and friends): a
 //!   price is a handful of multiplies, cheaper than probing the
 //!   engines' memo table, so the executor memoizes only *aggregates*
-//!   (the decode-stage constants keyed on `(m_fc, tokens)`).
+//!   (the delta path's FC/MoE/comm constants, keyed on the stage's
+//!   token counts).
 //!
 //! **Invariants.** Grouping is a pure batching of identical work: for
 //! any stage shape and system, the fast path's [`StageCost`] equals the
@@ -43,16 +44,28 @@
 //! On top of the grouped path, [`SystemExecutor::stage_cost_delta`]
 //! carries a [`BatchState`] *across* stages: the scheduler announces
 //! each stage as a [`StageDelta`] (advance + admissions +
-//! retirements), and pure-advance decoding stages — the overwhelming
-//! majority of a continuous-batching trace — are priced in O(1) from
-//! `(batch size, Σctx)` aggregates through a cached
-//! [`DecodeTemplate`]. Mixed stages and membership changes fall back
-//! to the grouped full path (rebuilding the template from the carried
-//! groups), and sampled expert routing disables the incremental path
-//! entirely, since its histograms are per-stage draws. See
-//! [`crate::incremental`] for the state machine and the exactness
-//! argument, and `tests/prop_cross_crate.rs` for the trace-equivalence
-//! property tests.
+//! retirements), and the decode batch's attention is priced from
+//! `(requests, Σctx)` aggregates per node through a cached
+//! [`DecodeTemplate`] — advanced in O(nodes) while the membership is
+//! unchanged, rebuilt from the carried groups when it changed.
+//!
+//! * A **decoding-only** stage adds the template's memoized FC, MoE
+//!   and communication constants: a pure advance is O(nodes).
+//! * A **mixed** stage groups and places only the delta's admissions
+//!   and held chunks (the batch is never re-sorted), adds their
+//!   prefill attention, KV-append stream and launch overheads, and
+//!   prices FC, MoE and communication from the per-node token and
+//!   LM-row counts — memoized on those counts.
+//!
+//! The full path, the template and the mixed delta path price FC, MoE
+//! and communication through one helper, so the three cannot drift.
+//! The grouped full path remains for sampled expert routing (its
+//! histograms are per-stage draws), for a stage with an empty carried
+//! batch (a pure-prefill stage) and for resyncs after a direct
+//! `execute`; [`SystemExecutor::delta_routes`] counts which route each
+//! stage took. See [`crate::incremental`] for the state machine and
+//! the exactness argument, and `tests/prop_cross_crate.rs` for the
+//! trace-equivalence property tests.
 //!
 //! One [`SystemExecutor`] models one serving system end to end:
 //!
@@ -82,7 +95,8 @@ use duplex_compute::hash::FastMap;
 use duplex_compute::kernel::{GemmShape, Kernel};
 use duplex_compute::{Engine, EngineSpec, KernelCost};
 use duplex_model::ops::{
-    enumerate_stage_into, fill_fc_ops, AttnOp, ExpertWork, FcOp, StageShape, StageWork,
+    enumerate_stage_into, fill_fc_ops, AttnOp, ExpertWork, FcOp, MoeLayerWork, StageShape,
+    StageWork,
 };
 use duplex_model::routing::RoutingMode;
 use duplex_model::{ExpertRouter, ModelConfig};
@@ -92,7 +106,7 @@ use rand::SeedableRng;
 
 use crate::comm::{CommModel, LinkSpec};
 use crate::coproc::split_experts;
-use crate::incremental::{BatchState, DecodeTemplate};
+use crate::incremental::{round_robin, BatchState, DecodeTemplate};
 use crate::parallel::CapacityPlan;
 
 /// Bytes of device memory per device (80 GB, H100-class).
@@ -387,6 +401,12 @@ struct StageScratch {
     node_lm_rows: Vec<u64>,
     /// Grouped attention ops per node: `(group, requests on this node)`.
     node_attn: Vec<Vec<(AttnOp, u64)>>,
+    /// The mixed delta path's prefill `(len, past, hold)` keys.
+    prefill_keys: Vec<(u64, u64, bool)>,
+    /// The mixed delta path's prefill-attention seconds per node.
+    node_prefill_s: Vec<f64>,
+    /// The mixed delta path's prefill tokens per node.
+    node_prefill_tokens: Vec<u64>,
 }
 
 impl StageScratch {
@@ -418,19 +438,69 @@ struct DeviceExpertsKey {
 /// few in steady state but unbounded over adversarial workloads).
 const EXPERT_MEMO_MAX_ENTRIES: usize = 1 << 18;
 
-/// Per-stage constants of a decoding-only batch that depend only on
-/// `(representative-node tokens, total tokens)`: FC, MoE and
-/// communication times plus their energies. Cached in
-/// [`SystemExecutor::decode_consts_memo`] because steady-state decode
-/// repeats the same batch size for thousands of stages.
-#[derive(Debug, Clone, Copy)]
-struct DecodeConsts {
-    time: TimeBreakdown,
-    energy: EnergyBuckets,
+/// The token counts a stage's FC, MoE and communication cost depends
+/// on (with the stage's expert histograms). Under expected-value
+/// routing the histogram is a function of `tokens`, so these counts
+/// alone key [`SystemExecutor::consts_memo`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct StageTokens {
+    /// FC tokens on the representative (most-loaded) node.
+    m_fc: u64,
+    /// LM-head rows on the representative node.
+    lm_rows: u64,
+    /// FC/MoE tokens of the whole stage.
+    tokens: u64,
+    /// Decoding requests of the whole stage.
+    decode_tokens: u64,
+    /// Whether the stage has prefills (base Duplex then runs MoE on the
+    /// xPU).
+    mixed: bool,
 }
 
-/// Safety valve for the decode-consts memo.
-const DECODE_CONSTS_MAX_ENTRIES: usize = 1 << 16;
+/// FC, MoE and communication times of one stage, with their energies
+/// (the attention fields stay zero).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StageConsts {
+    pub(crate) time: TimeBreakdown,
+    pub(crate) energy: EnergyBuckets,
+}
+
+/// Safety valve for the stage-consts memo.
+const STAGE_CONSTS_MAX_ENTRIES: usize = 1 << 16;
+
+/// The MoE histograms of one stage, as each pricing path holds them.
+#[derive(Debug, Clone, Copy)]
+enum MoeHists<'a> {
+    /// Every MoE layer routes `hist`: price it once and scale by
+    /// `layers` (expected-value routing; `layers` is 0 for a dense
+    /// model).
+    Shared { hist: &'a [u64], layers: usize },
+    /// One histogram per layer, priced and summed layer by layer (the
+    /// reference path, sampled routing). `uniform` reads `moe[0]` for
+    /// every layer (see [`StageWork::moe_uniform`]).
+    PerLayer {
+        moe: &'a [MoeLayerWork],
+        uniform: bool,
+    },
+}
+
+/// How [`SystemExecutor`]'s delta path priced its stages, one count per
+/// route (see [`SystemExecutor::delta_routes`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DeltaRoutes {
+    /// Decoding-only stages with unchanged membership: the carried
+    /// template advanced in O(nodes).
+    pub pure_advance: u64,
+    /// Decoding-only stages whose membership changed: the template was
+    /// rebuilt from the carried groups.
+    pub rebuild: u64,
+    /// Mixed stages priced as the carried template plus the delta's
+    /// prefills.
+    pub mixed: u64,
+    /// Stages priced on the grouped full path: sampled routing, an
+    /// empty carried batch, or a resync after a direct `execute`.
+    pub full: u64,
+}
 
 /// Executes stages for one system; implements
 /// [`duplex_sched::StageExecutor`].
@@ -459,13 +529,17 @@ pub struct SystemExecutor {
     batch: BatchState,
     /// Cached linear pricing of the current decode membership.
     template: Option<DecodeTemplate>,
-    /// Memoized decode-stage constants keyed by `(m_fc, total tokens)`.
-    decode_consts_memo: FastMap<(u64, u64), DecodeConsts>,
+    /// Memoized expected-routing FC/MoE/comm constants of the delta
+    /// path, keyed by the stage's token counts.
+    consts_memo: FastMap<StageTokens, StageConsts>,
+    /// Which route each delta-priced stage took.
+    routes: DeltaRoutes,
     /// Reused shape buffer for materializing delta-path fallbacks.
     shape_scratch: StageShape,
-    /// Reused FC-op list for decode-consts computation.
-    fc_scratch: Vec<FcOp>,
-    /// Reused expert histogram for decode-consts computation.
+    /// The model's batched FC ops. Their `m` is set per stage when
+    /// priced, so one list serves every stage.
+    fc_ops: Vec<FcOp>,
+    /// Reused expert histogram for the stage-consts computation.
     hist_scratch: Vec<u64>,
 }
 
@@ -525,6 +599,8 @@ impl SystemExecutor {
             ..config.link
         };
         let node_comm = CommModel::new(node_link, 1, config.nodes);
+        let mut fc_ops = Vec::new();
+        fill_fc_ops(&model, 1, 1, &mut fc_ops);
         Self {
             config,
             model,
@@ -547,9 +623,10 @@ impl SystemExecutor {
             }),
             batch: BatchState::default(),
             template: None,
-            decode_consts_memo: FastMap::default(),
+            consts_memo: FastMap::default(),
+            routes: DeltaRoutes::default(),
             shape_scratch: StageShape::default(),
-            fc_scratch: Vec::new(),
+            fc_ops,
             hist_scratch: Vec::new(),
         }
     }
@@ -584,10 +661,19 @@ impl SystemExecutor {
         self.stages
     }
 
-    /// Reset accumulated totals (e.g. between warm-up and measurement).
+    /// How many delta-priced stages took each route, since construction
+    /// or the last [`Self::reset_totals`]: whether the executor stayed on
+    /// the incremental path.
+    pub fn delta_routes(&self) -> DeltaRoutes {
+        self.routes
+    }
+
+    /// Reset accumulated totals and route counts (e.g. between warm-up
+    /// and measurement).
     pub fn reset_totals(&mut self) {
         self.total = StageCost::default();
         self.stages = 0;
+        self.routes = DeltaRoutes::default();
     }
 
     /// Replace the gate with a Zipf-skewed router (Sec. VIII-B: hot and
@@ -601,7 +687,7 @@ impl SystemExecutor {
         self.router = ExpertRouter::zipf(self.model.n_experts, self.model.top_k, skew);
         // Cached decode constants embed the old router's histogram.
         self.template = None;
-        self.decode_consts_memo.clear();
+        self.consts_memo.clear();
     }
 
     fn pim(&self) -> &Engine {
@@ -691,6 +777,21 @@ impl SystemExecutor {
         }
     }
 
+    /// One node's KV-append stream of `tokens` new tokens of one
+    /// attention class on `engine`, plus the class's launch overheads —
+    /// one batched kernel set (score, softmax, value) per layer. Returns
+    /// the seconds and adds the stream's energy, over all `tp` devices,
+    /// to `energy`; a node that appends nothing costs nothing.
+    fn kv_append(&self, engine: &Engine, tokens: u64, tp: u32, energy: &mut EnergyBuckets) -> f64 {
+        if tokens == 0 {
+            return 0.0;
+        }
+        let bytes = tokens * self.model.kv_bytes_per_token() / u64::from(tp);
+        let c = engine.kernel_cost_uncached(&Kernel::Stream { bytes, write: true });
+        energy.add_attn(&c.scaled(f64::from(tp)));
+        c.seconds + 3.0 * engine.spec().launch_overhead_s * f64::from(self.model.n_layers)
+    }
+
     /// Price one attention op on `engine`, head groups sharded over
     /// `tp` devices. Returns the per-device cost of all `count` layers.
     fn attn_cost(&self, engine: &Engine, op: &AttnOp, tp: u32) -> KernelCost {
@@ -741,11 +842,17 @@ impl SystemExecutor {
     /// Price one stage described incrementally against the carried
     /// [`BatchState`] (see [`crate::incremental`] for the invariants).
     ///
-    /// Pure-advance decoding stages — no admissions, no retirements —
-    /// are priced in O(1) from the cached [`DecodeTemplate`]; membership
-    /// changes rebuild the template from the carried groups; mixed
-    /// stages and sampled expert routing fall back to the grouped full
-    /// path on a materialized shape.
+    /// Under expected-value routing every stage with a non-empty carried
+    /// batch stays incremental. Decode attention comes from the cached
+    /// [`DecodeTemplate`]: advanced in O(nodes) while the membership is
+    /// unchanged, rebuilt from the carried groups when it changed. A
+    /// decoding-only stage adds its memoized FC/MoE/comm constants; a
+    /// mixed stage prices only the delta's admissions and held chunks
+    /// on top and its FC/MoE/comm constants from the per-node token
+    /// counts. Sampled expert routing and an empty carried batch (a
+    /// pure-prefill stage) fall back to the grouped full path on a
+    /// materialized shape. [`Self::delta_routes`] counts the route each
+    /// stage took.
     ///
     /// # Panics
     ///
@@ -766,14 +873,11 @@ impl SystemExecutor {
         known_shape: Option<&StageShape>,
     ) -> StageCost {
         let membership_changed = self.batch.apply(delta);
-        let incremental_ok = self.router.mode() == RoutingMode::Expected
-            && delta.admit.is_empty()
-            && delta.chunk.is_empty()
-            && self.batch.reqs() > 0;
-        if !incremental_ok {
+        if self.router.mode() != RoutingMode::Expected || self.batch.reqs() == 0 {
             // The template was not advanced through this stage; the
-            // next decode stage rebuilds it from the carried groups.
+            // next incremental stage rebuilds it from the carried groups.
             self.template = None;
+            self.routes.full += 1;
             if let Some(shape) = known_shape {
                 return self.stage_cost_impl(shape, true);
             }
@@ -783,52 +887,154 @@ impl SystemExecutor {
             self.shape_scratch = shape;
             return cost;
         }
+        let mixed = !delta.admit.is_empty() || !delta.chunk.is_empty();
         match &mut self.template {
-            Some(template) if !membership_changed => template.advance(),
-            _ => self.rebuild_decode_template(),
+            Some(template) if !membership_changed => {
+                template.advance();
+                self.routes.pure_advance += u64::from(!mixed);
+            }
+            _ => {
+                self.rebuild_decode_template();
+                self.routes.rebuild += u64::from(!mixed);
+            }
         }
-        self.template.as_ref().expect("rebuilt above").price()
+        if mixed {
+            self.routes.mixed += 1;
+            return self.price_mixed_delta(delta);
+        }
+        let template = self.template.as_ref().expect("advanced or rebuilt above");
+        if let Some(consts) = &template.decode_consts {
+            return template.price(consts);
+        }
+        // Decoding-only: a node's FC tokens and LM-head rows are its
+        // request count, and the representative node is the busiest.
+        let m_fc = template
+            .node_count
+            .iter()
+            .copied()
+            .max()
+            .unwrap_or(0)
+            .max(1);
+        let total = template.total_count;
+        let consts = self.stage_consts(StageTokens {
+            m_fc,
+            lm_rows: m_fc,
+            tokens: total,
+            decode_tokens: total,
+            mixed: false,
+        });
+        let template = self.template.as_mut().expect("advanced or rebuilt above");
+        template.decode_consts = Some(consts);
+        template.price(&consts)
+    }
+
+    /// Price a mixed stage on the delta path: decode attention from the
+    /// carried template (already advanced or rebuilt for this stage),
+    /// only the delta's admissions and held chunks grouped and placed,
+    /// and FC/MoE/comm from the resulting per-node token counts — the
+    /// grouped full path's math without re-sorting the decode batch.
+    /// Kept out of line so the pure-advance path around its call stays
+    /// small.
+    #[inline(never)]
+    fn price_mixed_delta(&mut self, delta: &StageDelta) -> StageCost {
+        let nodes = self.config.nodes as usize;
+        let (_, tp_attn, _) = self.parallel_dims();
+        let tp = f64::from(tp_attn);
+        let template = self
+            .template
+            .as_ref()
+            .expect("advanced or rebuilt by the caller");
+        let decode_tokens = template.total_count;
+        let mut energy = EnergyBuckets::default();
+        let attn_decode = template.attention(&mut energy);
+
+        let mut scratch = std::mem::take(&mut self.scratch);
+        // Every decoding request is one FC token and one LM-head row.
+        scratch.node_tokens.clone_from(&template.node_count);
+        scratch.node_lm_rows.clone_from(&template.node_count);
+        scratch.node_prefill_s.clear();
+        scratch.node_prefill_s.resize(nodes, 0.0);
+        scratch.node_prefill_tokens.clear();
+        scratch.node_prefill_tokens.resize(nodes, 0);
+        // Prefill groups in `enumerate_stage`'s `(len, past, hold)`
+        // order, placed with their own round-robin cursor.
+        let keys = &mut scratch.prefill_keys;
+        keys.clear();
+        keys.extend((0..delta.admit.len()).map(|i| (delta.admit[i], delta.admit_past(i), false)));
+        keys.extend(delta.chunk.iter().map(|&(len, past)| (len, past, true)));
+        keys.sort_unstable();
+        let mut cursor = 0u64;
+        let mut prefill_tokens = 0u64;
+        for run in keys.chunk_by(|a, b| a == b) {
+            let (len, past, hold) = run[0];
+            let reqs = run.len() as u64;
+            let c = self.attn_cost(
+                &self.xpu,
+                &AttnOp::prefill(&self.model, len, past, hold, reqs),
+                tp_attn,
+            );
+            for (n, cnt) in round_robin(reqs, cursor, nodes).enumerate() {
+                if cnt == 0 {
+                    continue;
+                }
+                let cnt_f = cnt as f64;
+                scratch.node_prefill_s[n] += c.seconds * cnt_f;
+                energy.add_attn(&c.scaled(tp * cnt_f));
+                scratch.node_prefill_tokens[n] += len * cnt;
+                scratch.node_tokens[n] += len * cnt;
+                if !hold {
+                    scratch.node_lm_rows[n] += cnt;
+                }
+            }
+            cursor += reqs;
+            prefill_tokens += len * reqs;
+        }
+        let mut pre_max = 0.0f64;
+        for (&secs, &tokens) in scratch
+            .node_prefill_s
+            .iter()
+            .zip(&scratch.node_prefill_tokens)
+        {
+            let pre = secs + self.kv_append(&self.xpu, tokens, tp_attn, &mut energy);
+            pre_max = pre.max(pre_max);
+        }
+        let rep = (0..nodes)
+            .max_by_key(|&i| scratch.node_tokens[i])
+            .unwrap_or(0);
+        let counts = StageTokens {
+            m_fc: scratch.node_tokens[rep].max(1),
+            lm_rows: scratch.node_lm_rows[rep].max(1),
+            tokens: decode_tokens + prefill_tokens,
+            decode_tokens,
+            mixed: true,
+        };
+        self.scratch = scratch;
+
+        let consts = self.stage_consts(counts);
+        let mut time = consts.time;
+        time.attn_prefill = pre_max;
+        time.attn_decode = attn_decode;
+        energy += consts.energy;
+        self.finish(time, energy)
     }
 
     /// Rebuild the decode template from the carried groups: per-node
-    /// placement, memoized FC/MoE/comm constants, and the linear
-    /// attention coefficients.
+    /// placement and the linear attention coefficients. The FC/MoE/comm
+    /// constants of a decoding-only stage are filled in lazily by the
+    /// first one that needs them.
     fn rebuild_decode_template(&mut self) {
         let nodes = self.config.nodes as usize;
-        let (tp_fc, tp_attn, moe_devices) = self.parallel_dims();
+        let (_, tp_attn, _) = self.parallel_dims();
         let mut tpl = self.template.take().unwrap_or_default();
         self.batch
             .node_placement(nodes, &mut tpl.node_count, &mut tpl.node_sumctx);
         tpl.total_count = self.batch.reqs();
         tpl.total_sumctx = self.batch.ctx_sum();
-        // Representative (most-loaded) node; for decode stages the node
-        // token count is the node's request count. Mirrors
-        // `max_by_key`'s last-max tie rule (the value is what matters).
-        let mut rep = 0usize;
-        for (n, &c) in tpl.node_count.iter().enumerate() {
-            if c >= tpl.node_count[rep] {
-                rep = n;
-            }
-        }
-        let m_fc = tpl.node_count[rep].max(1);
-        let consts = self.decode_stage_consts(m_fc, tpl.total_count, tp_fc, moe_devices);
-        tpl.base_time = consts.time;
-        tpl.base_energy = consts.energy;
+        tpl.decode_consts = None;
         // Linear decode-attention coefficients: every decode group of a
         // stage shares all parameters but the context, and per-group
         // cost is exactly proportional to it (see crate::incremental).
-        let proto = AttnOp {
-            decode: true,
-            ctx: 1,
-            past: 0,
-            q_rows: u64::from(self.model.deg_grp),
-            groups: u64::from(self.model.kv_heads()),
-            d_head: self.model.d_head(),
-            causal: false,
-            count: u64::from(self.model.n_layers),
-            reqs: 1,
-            samples: true,
-        };
+        let proto = AttnOp::decode(&self.model, 1, 1);
         let engine = self.decode_engine();
         let unit = self.decode_attn_pricer(engine, &proto, tp_attn).cost(1);
         tpl.sec_per_ctx = unit.seconds;
@@ -836,76 +1042,110 @@ impl SystemExecutor {
         tpl.attn_comp_j_per_ctx = unit.compute_j * f64::from(tp_attn);
         // Per-node constants: KV-append stream + one launch-overhead
         // set per layer, for nodes that host any request.
-        let kv_tok = self.model.kv_bytes_per_token();
-        let layers = f64::from(self.model.n_layers);
+        let mut kv_energy = EnergyBuckets::default();
         tpl.node_const_s.clear();
         for &cnt in &tpl.node_count {
-            if cnt == 0 {
-                tpl.node_const_s.push(0.0);
-                continue;
-            }
-            let bytes = cnt * kv_tok / u64::from(tp_attn);
-            let c = engine.kernel_cost_uncached(&Kernel::Stream { bytes, write: true });
-            tpl.base_energy.add_attn(&c.scaled(f64::from(tp_attn)));
-            tpl.node_const_s
-                .push(c.seconds + 3.0 * engine.spec().launch_overhead_s * layers);
+            let secs = self.kv_append(engine, cnt, tp_attn, &mut kv_energy);
+            tpl.node_const_s.push(secs);
         }
+        tpl.kv_dram_j = kv_energy.attn_dram;
+        tpl.kv_comp_j = kv_energy.attn_comp;
         self.template = Some(tpl);
     }
 
-    /// FC + MoE + communication cost of a decoding-only stage with
-    /// `m_fc` tokens on the representative node and `tokens` total —
-    /// the exact math of the corresponding `stage_cost_impl` sections,
-    /// memoized on `(m_fc, tokens)`.
-    fn decode_stage_consts(
-        &mut self,
-        m_fc: u64,
-        tokens: u64,
-        tp_fc: u32,
-        moe_devices: u32,
-    ) -> DecodeConsts {
-        if let Some(&hit) = self.decode_consts_memo.get(&(m_fc, tokens)) {
+    /// [`Self::price_fc_moe_comm`] under expected-value routing,
+    /// memoized on the stage's token counts: steady-state serving
+    /// repeats the same counts for thousands of stages.
+    fn stage_consts(&mut self, counts: StageTokens) -> StageConsts {
+        if let Some(&hit) = self.consts_memo.get(&counts) {
             return hit;
         }
-        let lm_rows = m_fc; // decode: one LM-head row per request
+        let mut hist = std::mem::take(&mut self.hist_scratch);
+        let layers = if self.model.is_moe() {
+            self.router.route_expected_into(counts.tokens, &mut hist);
+            self.model.moe_block_count() as usize
+        } else {
+            0
+        };
+        let consts = self.price_fc_moe_comm(
+            counts,
+            MoeHists::Shared {
+                hist: &hist,
+                layers,
+            },
+        );
+        self.hist_scratch = hist;
+        if self.consts_memo.len() >= STAGE_CONSTS_MAX_ENTRIES {
+            self.consts_memo.clear();
+        }
+        self.consts_memo.insert(counts, consts);
+        consts
+    }
+
+    /// FC, MoE and communication cost of one stage. The full path, the
+    /// decode template and the mixed delta path all price these
+    /// sections here, so their math cannot drift apart.
+    fn price_fc_moe_comm(&self, counts: StageTokens, moe: MoeHists<'_>) -> StageConsts {
+        let (tp_fc, _, moe_devices) = self.parallel_dims();
         let mut time = TimeBreakdown::default();
         let mut energy = EnergyBuckets::default();
 
-        let mut fc_ops = std::mem::take(&mut self.fc_scratch);
-        fill_fc_ops(&self.model, tokens, lm_rows, &mut fc_ops);
-        self.price_fc_ops(&fc_ops, m_fc, lm_rows, tp_fc, &mut time, &mut energy);
-        self.fc_scratch = fc_ops;
+        // ------ FC layers (always on the xPU) ------
+        self.price_fc_ops(counts.m_fc, counts.lm_rows, tp_fc, &mut time, &mut energy);
 
-        if self.model.is_moe() {
-            // Expected-value routing: one histogram shared by every MoE
-            // layer — price one and scale by the block count.
-            let mut hist = std::mem::take(&mut self.hist_scratch);
-            self.router.route_expected_into(tokens, &mut hist);
-            let blocks = self.model.moe_block_count() as f64;
-            let (t, e) = self.price_moe_layer(&hist, false, tp_fc, moe_devices);
-            time.moe += t * blocks;
-            energy.moe_dram += e.moe_dram * blocks;
-            energy.moe_comp += e.moe_comp * blocks;
-            self.hist_scratch = hist;
-        }
+        // ------ MoE ------
+        let moe_active = match moe {
+            MoeHists::Shared { hist, layers } => {
+                if layers > 0 {
+                    let multiplier = layers as f64;
+                    let (t, e) = self.price_moe_layer(hist, counts.mixed, tp_fc, moe_devices);
+                    time.moe += t * multiplier;
+                    energy.moe_dram += e.moe_dram * multiplier;
+                    energy.moe_comp += e.moe_comp * multiplier;
+                }
+                layers > 0
+            }
+            MoeHists::PerLayer { moe, uniform } => {
+                // The reference path sums per-layer prices; a collapsed
+                // uniform stage prices `moe[0]` once per layer, which
+                // sums the same addends the materialized form would.
+                for i in 0..moe.len() {
+                    let hist = &moe[if uniform { 0 } else { i }].expert_tokens;
+                    let (t, e) = self.price_moe_layer(hist, counts.mixed, tp_fc, moe_devices);
+                    time.moe += t;
+                    energy.moe_dram += e.moe_dram;
+                    energy.moe_comp += e.moe_comp;
+                }
+                !moe.is_empty()
+            }
+        };
 
-        // Decode-only: every request is one decode token.
+        // ------ communication ------
         self.price_stage_comm(
-            m_fc,
-            tokens,
-            tokens,
-            self.model.is_moe(),
+            counts.m_fc,
+            counts.tokens,
+            counts.decode_tokens,
+            moe_active,
             tp_fc,
             &mut time,
             &mut energy,
         );
+        StageConsts { time, energy }
+    }
 
-        let consts = DecodeConsts { time, energy };
-        if self.decode_consts_memo.len() >= DECODE_CONSTS_MAX_ENTRIES {
-            self.decode_consts_memo.clear();
+    /// The stage latency of a priced breakdown: attention classes
+    /// overlap under co-processing and serialize otherwise.
+    fn finish(&self, time: TimeBreakdown, energy: EnergyBuckets) -> StageCost {
+        let attn_eff = if self.config.coproc {
+            time.attn_prefill.max(time.attn_decode)
+        } else {
+            time.attn_prefill + time.attn_decode
+        };
+        StageCost {
+            seconds: time.fc + attn_eff + time.moe + time.comm,
+            time,
+            energy,
         }
-        self.decode_consts_memo.insert((m_fc, tokens), consts);
-        consts
     }
 
     fn stage_cost_impl(&mut self, shape: &StageShape, grouped: bool) -> StageCost {
@@ -921,7 +1161,7 @@ impl SystemExecutor {
                 .collect();
         }
         let nodes = self.config.nodes as usize;
-        let (tp_fc, tp_attn, moe_devices) = self.parallel_dims();
+        let (_, tp_attn, _) = self.parallel_dims();
 
         // ------ data-parallel node assignment (round-robin) ------
         // Each group's requests spread across nodes exactly as if they
@@ -936,23 +1176,13 @@ impl SystemExecutor {
             } else {
                 &mut prefill_cursor
             };
-            let base = op.reqs / nodes as u64;
-            let rem = op.reqs % nodes as u64;
-            let start = *cursor % nodes as u64;
-            for (n, (tokens, lm_rows)) in scratch
-                .node_tokens
-                .iter_mut()
-                .zip(&mut scratch.node_lm_rows)
-                .enumerate()
-            {
-                let offset = (n as u64 + nodes as u64 - start) % nodes as u64;
-                let cnt = base + u64::from(offset < rem);
+            for (n, cnt) in round_robin(op.reqs, *cursor, nodes).enumerate() {
                 if cnt > 0 {
                     scratch.node_attn[n].push((*op, cnt));
-                    *tokens += if op.decode { cnt } else { op.ctx * cnt };
+                    scratch.node_tokens[n] += if op.decode { cnt } else { op.ctx * cnt };
                     // Held prefill chunks sample no token: no LM row.
                     if op.samples {
-                        *lm_rows += cnt;
+                        scratch.node_lm_rows[n] += cnt;
                     }
                 }
             }
@@ -961,21 +1191,41 @@ impl SystemExecutor {
         let rep = (0..nodes)
             .max_by_key(|&i| scratch.node_tokens[i])
             .unwrap_or(0);
-        let m_fc = scratch.node_tokens[rep].max(1);
-        let lm_rows_rep = scratch.node_lm_rows[rep].max(1);
 
-        let mut time = TimeBreakdown::default();
-        let mut energy = EnergyBuckets::default();
-
-        // ------ FC layers (always on the xPU) ------
-        self.price_fc_ops(
-            &work.fc_ops,
-            m_fc,
-            lm_rows_rep,
-            tp_fc,
-            &mut time,
-            &mut energy,
+        // ------ FC, MoE and communication ------
+        // Under expected-value routing every MoE layer of a stage sees
+        // the same histogram (`moe_uniform`, with only `moe[0]`
+        // materialized): price one layer, scale by the block count.
+        // Sampled routing falls back to per-layer, with the equality
+        // scan still collapsing histograms that happen to coincide.
+        let identical = grouped
+            && (work.moe_uniform
+                || work
+                    .moe
+                    .windows(2)
+                    .all(|w| w[0].expert_tokens == w[1].expert_tokens));
+        let moe = match work.moe.first() {
+            Some(first) if identical => MoeHists::Shared {
+                hist: &first.expert_tokens,
+                layers: work.moe.len(),
+            },
+            _ => MoeHists::PerLayer {
+                moe: &work.moe,
+                uniform: work.moe_uniform,
+            },
+        };
+        let consts = self.price_fc_moe_comm(
+            StageTokens {
+                m_fc: scratch.node_tokens[rep].max(1),
+                lm_rows: scratch.node_lm_rows[rep].max(1),
+                tokens: work.tokens,
+                decode_tokens: shape.decode_ctx.len() as u64,
+                mixed: work.mixed,
+            },
+            moe,
         );
+        let mut time = consts.time;
+        let mut energy = consts.energy;
 
         // ------ attention ------
         let (prefill_engine, decode_engine): (&Engine, &Engine) = (&self.xpu, self.decode_engine());
@@ -1012,100 +1262,17 @@ impl SystemExecutor {
             }
             // KV append: decode KV written by the decode engine, prefill
             // KV by the prefill engine (later migrated; Sec. V-C).
-            let kv_tok = self.model.kv_bytes_per_token();
-            if decode_tokens > 0 {
-                let bytes = decode_tokens * kv_tok / u64::from(tp_attn);
-                let c = decode_engine.kernel_cost_uncached(&Kernel::Stream { bytes, write: true });
-                dec += c.seconds;
-                energy.add_attn(&c.scaled(f64::from(tp_attn)));
-            }
-            if prefill_tokens > 0 {
-                let bytes = prefill_tokens * kv_tok / u64::from(tp_attn);
-                let c = prefill_engine.kernel_cost_uncached(&Kernel::Stream { bytes, write: true });
-                pre += c.seconds;
-                energy.add_attn(&c.scaled(f64::from(tp_attn)));
-            }
-            // One batched kernel set (score, softmax, value) per layer
-            // and class: charge the launch overhead once per layer.
-            let layer_count = self.model.n_layers as f64;
-            if decode_tokens > 0 {
-                dec += 3.0 * decode_engine.spec().launch_overhead_s * layer_count;
-            }
-            if prefill_tokens > 0 {
-                pre += 3.0 * prefill_engine.spec().launch_overhead_s * layer_count;
-            }
+            dec += self.kv_append(decode_engine, decode_tokens, tp_attn, &mut energy);
+            pre += self.kv_append(prefill_engine, prefill_tokens, tp_attn, &mut energy);
             dec_max = dec.max(dec_max);
             pre_max = pre.max(pre_max);
         }
         time.attn_prefill = pre_max;
         time.attn_decode = dec_max;
 
-        // ------ MoE ------
-        if !work.moe.is_empty() {
-            let mixed = work.mixed;
-            // Under expected-value routing every MoE layer of a stage
-            // sees the same histogram (`moe_uniform`, with only `moe[0]`
-            // materialized): price one layer, scale by the block count.
-            // Sampled routing falls back to per-layer, with the equality
-            // scan still collapsing histograms that happen to coincide.
-            let identical = grouped
-                && (work.moe_uniform
-                    || work
-                        .moe
-                        .windows(2)
-                        .all(|w| w[0].expert_tokens == w[1].expert_tokens));
-            if identical {
-                let multiplier = work.moe.len() as f64;
-                let (t, e) =
-                    self.price_moe_layer(&work.moe[0].expert_tokens, mixed, tp_fc, moe_devices);
-                time.moe += t * multiplier;
-                energy.moe_dram += e.moe_dram * multiplier;
-                energy.moe_comp += e.moe_comp * multiplier;
-            } else {
-                // The reference path sums per-layer prices; a collapsed
-                // uniform stage prices `moe[0]` once per layer, which
-                // sums the same addends the materialized form would.
-                for i in 0..work.moe.len() {
-                    let idx = if work.moe_uniform { 0 } else { i };
-                    let (t, e) = self.price_moe_layer(
-                        &work.moe[idx].expert_tokens,
-                        mixed,
-                        tp_fc,
-                        moe_devices,
-                    );
-                    time.moe += t;
-                    energy.moe_dram += e.moe_dram;
-                    energy.moe_comp += e.moe_comp;
-                }
-            }
-        }
-
-        // ------ communication ------
-        self.price_stage_comm(
-            m_fc,
-            work.tokens,
-            shape.decode_ctx.len() as u64,
-            !work.moe.is_empty(),
-            tp_fc,
-            &mut time,
-            &mut energy,
-        );
-
-        // ------ effective stage latency ------
-        let attn_eff = if self.config.coproc {
-            time.attn_prefill.max(time.attn_decode)
-        } else {
-            time.attn_prefill + time.attn_decode
-        };
-        let seconds = time.fc + attn_eff + time.moe + time.comm;
-
         self.scratch = scratch;
         self.work = work;
-        StageCost {
-            seconds,
-            time,
-            energy,
-        }
+        self.finish(time, energy)
     }
 
     /// Aggregate kernel-pricing cache statistics `(hits, misses)`
@@ -1124,12 +1291,9 @@ impl SystemExecutor {
     }
 
     /// Price the batched FC layers (always on the xPU): `m_fc` tokens
-    /// on the representative node, `lm_rows` LM-head rows. Shared by
-    /// the per-stage path and the decode-consts path so the sharding
-    /// math cannot drift between them.
+    /// on the representative node, `lm_rows` LM-head rows.
     fn price_fc_ops(
         &self,
-        ops: &[FcOp],
         m_fc: u64,
         lm_rows: u64,
         tp_fc: u32,
@@ -1138,7 +1302,7 @@ impl SystemExecutor {
     ) {
         let bpe = self.model.bytes_per_elem;
         let nodes = self.config.nodes as usize;
-        for op in ops {
+        for op in &self.fc_ops {
             let m = if op.name == "lm_head" { lm_rows } else { m_fc };
             let sharded = GemmShape {
                 m,
@@ -1175,7 +1339,6 @@ impl SystemExecutor {
     /// Price a stage's communication: tensor-parallel all-reduces, MoE
     /// dispatch (and the ET partial-sum stream, which lands in the MoE
     /// buckets), and the heterogeneous system's GPU <-> PIM handoffs.
-    /// Shared by the per-stage path and the decode-consts path.
     #[allow(clippy::too_many_arguments)]
     fn price_stage_comm(
         &self,
@@ -1412,6 +1575,7 @@ impl StageExecutor for SystemExecutor {
             // the batch state from it and price the full path once.
             self.batch.rebuild_from(shape);
             self.template = None;
+            self.routes.full += 1;
             self.stage_cost_impl(shape, true)
         } else {
             let cost = self.stage_cost_delta_inner(delta, Some(shape));
@@ -1982,6 +2146,38 @@ mod tests {
                 assert_costs_close(&a, &b, &format!("advance stage {s}"));
             }
         }
+    }
+
+    #[test]
+    fn saturated_serving_stays_on_the_delta_path() {
+        // One Mixtral replica at 1.25x its decode capacity: nearly every
+        // stage admits prompts while the batch keeps decoding. Only the
+        // first stage (a pure prefill, nothing carried yet) may take the
+        // full path; every later stage must be priced incrementally.
+        let model = ModelConfig::mixtral_8x7b();
+        let system = SystemConfig::duplex_pe_et(4, 1);
+        let batch = 16;
+        let mut ex = SystemExecutor::new(system, model.clone(), 7);
+        let stage_s = ex.stage_cost(&decode_stage(batch, 128 + 16)).seconds;
+        let qps = 1.25 * batch as f64 / (33.0 * stage_s);
+        let cfg = duplex_sched::SimulationConfig {
+            max_batch: batch,
+            kv_capacity_bytes: ex.kv_capacity_bytes(),
+            kv_bytes_per_token: model.kv_bytes_per_token(),
+            ..duplex_sched::SimulationConfig::default()
+        };
+        let workload = duplex_sched::Workload::gaussian(128, 32).with_seed(2);
+        let report = duplex_sched::Simulation::poisson(cfg, workload, qps, 600).run(&mut ex);
+        let routes = ex.delta_routes();
+        let stages = report.stages.len() as u64;
+        let priced = routes.pure_advance + routes.rebuild + routes.mixed + routes.full;
+        assert_eq!(priced, stages, "{routes:?}");
+        assert_eq!(routes.full, 1, "only the opening stage: {routes:?}");
+        // The opening stage is mixed too; every other one priced on the
+        // mixed delta route.
+        let mixed = report.stages.iter().filter(|s| s.mixed).count() as u64;
+        assert_eq!(routes.mixed + 1, mixed, "{routes:?}");
+        assert!(routes.mixed > 0 && routes.rebuild > 0 && routes.pure_advance > 0);
     }
 
     #[test]

@@ -26,23 +26,58 @@
 //!   token count (= batch size) — MoE because expected-value routing
 //!   makes the expert histogram a pure function of the token count
 //!   (Mixtral of Experts: FC/MoE cost is context-free). These constants
-//!   are memoized per `(node tokens, batch)` in the executor.
+//!   are memoized per token counts in the executor.
 //!
 //! [`DecodeTemplate`] caches those coefficients; between membership
 //! changes each stage costs one `advance` (O(nodes) adds) and one
 //! `price` (O(nodes) multiplies). Any admission, retirement or resync
-//! invalidates the template, and the executor rebuilds it from the
-//! carried groups — or falls back to the grouped full path for mixed
-//! stages, which stays the oracle (`stage_cost_reference`).
+//! changes the membership, and the executor rebuilds the template from
+//! the carried groups.
+//!
+//! # Why a mixed stage prices exactly without re-sorting the batch
+//!
+//! The grouped full path handles the decode and prefill classes
+//! independently: each class has its own round-robin cursor, and each
+//! node's decode and prefill attention are summed and maxed apart. So
+//! a mixed stage splits into three parts, each priced exactly:
+//!
+//! * **Decode attention** is the template's, unchanged — the same
+//!   per-node request counts and context sums as a decoding-only stage
+//!   over the same membership. The template's KV-append energy is kept
+//!   apart from the decoding-only FC/MoE/comm constants for this reason.
+//! * **Prefill attention** depends only on the delta's admissions and
+//!   held chunks: they are grouped by `(len, past, hold)` in the order
+//!   `enumerate_stage` sorts them, placed with their own cursor, and
+//!   priced per group plus each node's KV-append stream and launch
+//!   overheads.
+//! * **FC, MoE and communication** depend only on the representative
+//!   node's FC tokens (its decode requests plus its prefill tokens) and
+//!   LM-head rows (its decode requests plus its sampling prefills), the
+//!   stage's total tokens and decode count, and the mixed flag — under
+//!   expected-value routing the histogram is again a function of the
+//!   total.
+//!
+//! Sampled routing, an empty carried batch and resyncs take the grouped
+//! full path, which stays the oracle (`stage_cost_reference`).
 //!
 //! The equivalence with the reference path is pinned to 1e-9 relative
 //! by `tests/prop_cross_crate.rs` over randomized
-//! admit/retire/advance traces.
+//! admit/retire/advance traces on every system preset.
 
 use duplex_model::ops::{ContextGroups, StageShape};
 use duplex_sched::StageDelta;
 
-use crate::exec::{EnergyBuckets, StageCost, TimeBreakdown};
+use crate::exec::{EnergyBuckets, StageConsts, StageCost};
+
+/// Requests of a `reqs`-strong group landing on each of `nodes`
+/// data-parallel nodes, in node order, when its class's round-robin
+/// cursor stands at `cursor` (requests of the class already placed):
+/// exactly what placing the requests one by one would give.
+pub(crate) fn round_robin(reqs: u64, cursor: u64, nodes: usize) -> impl Iterator<Item = u64> {
+    let n = nodes as u64;
+    let (base, rem, start) = (reqs / n, reqs % n, cursor % n);
+    (0..n).map(move |i| base + u64::from((i + n - start) % n < rem))
+}
 
 /// Decode-batch state carried across stages by an incremental executor.
 #[derive(Debug, Clone, Default)]
@@ -169,18 +204,22 @@ impl BatchState {
     /// exactly the per-node totals the grouped full path computes.
     pub fn node_placement(&self, nodes: usize, counts: &mut Vec<u64>, sums: &mut Vec<u64>) {
         counts.clear();
-        counts.resize(nodes, 0);
         sums.clear();
+        if nodes == 1 {
+            // Everything lands on the one node: the aggregates are exact.
+            counts.push(self.reqs());
+            sums.push(self.ctx_sum());
+            return;
+        }
+        counts.resize(nodes, 0);
         sums.resize(nodes, 0);
-        let nodes_u = nodes as u64;
         let mut cursor = 0u64;
         for (ctx, reqs) in self.groups.iter() {
-            let base = reqs / nodes_u;
-            let rem = reqs % nodes_u;
-            let start = cursor % nodes_u;
-            for (n, (count, sum)) in counts.iter_mut().zip(sums.iter_mut()).enumerate() {
-                let offset = (n as u64 + nodes_u - start) % nodes_u;
-                let cnt = base + u64::from(offset < rem);
+            for ((count, sum), cnt) in counts
+                .iter_mut()
+                .zip(sums.iter_mut())
+                .zip(round_robin(reqs, cursor, nodes))
+            {
                 *count += cnt;
                 *sum += ctx * cnt;
             }
@@ -189,9 +228,10 @@ impl BatchState {
     }
 }
 
-/// Cached linear pricing of a decode-only batch: rebuild on membership
-/// change, then each stage is one `advance` plus one `price` (both
-/// crate-internal). See the [module docs](self) for why the
+/// Cached linear pricing of the decode batch's attention: rebuild on
+/// membership change, then each stage is one `advance` plus one
+/// `price` (decoding-only) or `attention` (mixed), all
+/// crate-internal. See the [module docs](self) for why the
 /// decomposition is exact.
 #[derive(Debug, Clone, Default)]
 pub struct DecodeTemplate {
@@ -209,11 +249,13 @@ pub struct DecodeTemplate {
     /// scaled by the attention tensor-parallel degree.
     pub(crate) attn_dram_j_per_ctx: f64,
     pub(crate) attn_comp_j_per_ctx: f64,
-    /// FC + MoE + comm times (attention filled per stage).
-    pub(crate) base_time: TimeBreakdown,
-    /// FC + MoE + KV-append energies (per-ctx attention energy added
-    /// per stage).
-    pub(crate) base_energy: EnergyBuckets,
+    /// KV-append stream DRAM / compute joules of all nodes.
+    pub(crate) kv_dram_j: f64,
+    pub(crate) kv_comp_j: f64,
+    /// FC + MoE + comm constants of the decoding-only stage over this
+    /// membership; filled by the first decoding-only stage after a
+    /// rebuild (a mixed stage prices its own).
+    pub(crate) decode_consts: Option<StageConsts>,
 }
 
 impl DecodeTemplate {
@@ -225,21 +267,31 @@ impl DecodeTemplate {
         self.total_sumctx += self.total_count;
     }
 
-    /// Price the stage at the template's current Σctx.
-    pub(crate) fn price(&self) -> StageCost {
+    /// The decode attention at the template's current Σctx: returns the
+    /// busiest node's seconds and adds every node's joules to the
+    /// attention buckets of `energy`.
+    pub(crate) fn attention(&self, energy: &mut EnergyBuckets) -> f64 {
         let mut dec = 0.0f64;
         for (&sum, &konst) in self.node_sumctx.iter().zip(&self.node_const_s) {
             dec = dec.max(self.sec_per_ctx * sum as f64 + konst);
         }
-        let mut time = self.base_time;
-        time.attn_decode = dec;
-        let mut energy = self.base_energy;
         let s = self.total_sumctx as f64;
+        energy.attn_dram += self.kv_dram_j;
+        energy.attn_comp += self.kv_comp_j;
         energy.attn_dram += self.attn_dram_j_per_ctx * s;
         energy.attn_comp += self.attn_comp_j_per_ctx * s;
+        dec
+    }
+
+    /// Price a decoding-only stage at the template's current Σctx, with
+    /// `consts` its FC + MoE + comm constants.
+    pub(crate) fn price(&self, consts: &StageConsts) -> StageCost {
+        let mut time = consts.time;
+        let mut energy = consts.energy;
+        time.attn_decode = self.attention(&mut energy);
         // Decode-only: prefill attention is zero, so the co-processing
         // overlap and the serialized sum coincide.
-        let seconds = time.fc + dec + time.moe + time.comm;
+        let seconds = time.fc + time.attn_decode + time.moe + time.comm;
         StageCost {
             seconds,
             time,
@@ -383,7 +435,11 @@ mod tests {
         t.advance();
         assert_eq!(t.node_sumctx, vec![22, 16]);
         assert_eq!(t.total_sumctx, 38);
-        let cost = t.price();
+        let consts = StageConsts {
+            time: crate::exec::TimeBreakdown::default(),
+            energy: EnergyBuckets::default(),
+        };
+        let cost = t.price(&consts);
         assert!(
             (cost.time.attn_decode - 22.0).abs() < 1e-12,
             "max node wins"

@@ -60,7 +60,9 @@ pub mod split;
 
 pub use comm::{CommModel, LinkSpec};
 pub use coproc::ExpertSplit;
-pub use exec::{DeviceKind, EnergyBuckets, StageCost, SystemConfig, SystemExecutor, TimeBreakdown};
+pub use exec::{
+    DeltaRoutes, DeviceKind, EnergyBuckets, StageCost, SystemConfig, SystemExecutor, TimeBreakdown,
+};
 pub use incremental::BatchState;
 pub use parallel::CapacityPlan;
 pub use split::SplitSimulation;

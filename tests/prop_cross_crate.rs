@@ -164,11 +164,14 @@ proptest! {
     }
 
     /// The incremental delta path equals the per-request reference path
-    /// over full randomized serving traces: the scheduler emits
-    /// admissions, retirements and pure advances from a Gaussian
-    /// workload (optionally under Poisson arrivals), and every stage's
-    /// latency — hence the whole simulated timeline — must match within
-    /// 1e-9 relative.
+    /// over full randomized serving traces on every system preset: the
+    /// scheduler emits admissions, retirements and pure advances from a
+    /// Gaussian workload (optionally under Poisson arrivals), and every
+    /// stage's latency — hence the whole simulated timeline — must match
+    /// within 1e-9 relative. Mixed stages price on the delta path too,
+    /// so the presets whose answer depends on the stage mix are pinned:
+    /// base Duplex moves MoE to the xPU in mixed stages, and hetero pays
+    /// GPU <-> PIM handoffs per decode token.
     #[test]
     fn incremental_trace_equals_reference(
         mean_in in 32u64..512,
@@ -177,14 +180,18 @@ proptest! {
         batch in 1usize..12,
         seed in 0u64..1000,
         qps in proptest::option::of(1.0f64..50.0),
-        duplex_system in 0u8..2,
+        system_idx in 0usize..6,
     ) {
         let model = ModelConfig::mixtral_8x7b();
-        let system = if duplex_system == 1 {
-            SystemConfig::duplex_pe_et(4, 1)
-        } else {
-            SystemConfig::gpu(4, 1)
-        };
+        let system = [
+            SystemConfig::gpu(4, 1),
+            SystemConfig::duplex(4, 1),
+            SystemConfig::duplex_pe(4, 1),
+            SystemConfig::duplex_pe_et(4, 1),
+            SystemConfig::bank_pim(4, 1),
+            SystemConfig::hetero(),
+        ][system_idx]
+            .clone();
         let mut inc = SystemExecutor::new(system.clone(), model.clone(), 1);
         let mut oracle = ReferenceExec::new(SystemExecutor::new(system, model.clone(), 1));
         let cfg = SimulationConfig {
@@ -480,13 +487,15 @@ proptest! {
 
     /// Same trace equivalence on the two-node Grok cluster, where
     /// incremental pricing must also reproduce round-robin data-parallel
-    /// placement of the carried groups.
+    /// placement of the carried groups and, under Poisson arrivals that
+    /// admit several prompts per stage, of the delta's prefills.
     #[test]
     fn incremental_trace_equals_reference_two_nodes(
         mean_out in 4u64..24,
         requests in 4usize..12,
         batch in 1usize..8,
         seed in 0u64..200,
+        qps in proptest::option::of(50.0f64..2000.0),
     ) {
         let model = ModelConfig::grok1();
         let system = SystemConfig::duplex_pe_et(8, 2);
@@ -499,10 +508,15 @@ proptest! {
             ..SimulationConfig::default()
         };
         let workload = Workload::gaussian(128, mean_out).with_seed(seed);
-        let a = Simulation::closed_loop(cfg, workload.clone(), requests).run(&mut inc);
-        let b = Simulation::closed_loop(cfg, workload, requests).run(&mut oracle);
+        let mk = |w: Workload| match qps {
+            Some(q) => Simulation::poisson(cfg, w, q, requests),
+            None => Simulation::closed_loop(cfg, w, requests),
+        };
+        let a = mk(workload.clone()).run(&mut inc);
+        let b = mk(workload).run(&mut oracle);
         prop_assert_eq!(a.stages.len(), b.stages.len());
         for (i, (sa, sb)) in a.stages.iter().zip(&b.stages).enumerate() {
+            prop_assert_eq!(sa.batch, sb.batch);
             prop_assert!(
                 rel_diff(sa.seconds, sb.seconds) < 1e-9,
                 "stage {}: incremental {} vs reference {}",
@@ -510,6 +524,10 @@ proptest! {
             );
         }
         prop_assert!(rel_diff(a.total_time_s, b.total_time_s) < 1e-9, "total time");
+        prop_assert!(
+            rel_diff(inc.total_cost().energy.total(), oracle.energy_j) < 1e-9,
+            "energy"
+        );
     }
 
     /// Stage costs are positive, finite, and co-processing never makes a
